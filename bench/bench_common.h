@@ -169,28 +169,34 @@ inline WallClock MinutesBack(const History& h, int t) {
 }
 
 struct AsOfCost {
-  double create_seconds = 0;  // snapshot creation incl. recovery
-  double query_seconds = 0;   // the stock-level as-of query
+  double create_seconds = 0;  // split search + store setup
+  double query_seconds = 0;   // the first stock-level as-of query
   uint64_t undo_log_ios = 0;  // log cache misses during the query
   uint64_t records_undone = 0;
   uint64_t fpi_jumps = 0;
   /// Shared version store traffic during the query (0 when disabled).
   uint64_t vs_exact_hits = 0;
   uint64_t vs_partial_hits = 0;
-  /// Mount-phase breakdown (simulated micros): analysis scan, lock
-  /// re-acquisition (the redo-stage work) and background undo, plus
-  /// the replay worker count the undo ran with.
+  /// Pages the query recovered on first access.
+  uint64_t pages_recovered_on_demand = 0;
+  /// The background sweep (simulated micros): the whole of it, and its
+  /// analysis scan and page log index build.
+  uint64_t sweep_micros = 0;
   uint64_t analysis_micros = 0;
-  uint64_t redo_micros = 0;
-  uint64_t undo_micros = 0;
-  int replay_threads = 1;
+  uint64_t index_build_micros = 0;
   int result = 0;
 };
 
-/// Create an as-of snapshot T minutes back and run the stock-level
-/// query against it, measuring simulated costs.
+/// Mount an as-of snapshot T minutes back and run the stock-level
+/// query against it at once, as an investigator would, measuring
+/// simulated costs; then let the background sweeper finish. The
+/// sweeper charges its IO to the same simulated clock, so the query's
+/// time and log misses include the sweeper's work that overlapped it.
+/// With `sweep_first` the sweeper finishes and the log cache is dropped
+/// again before the query starts, so the query's figures are its own.
 inline Result<AsOfCost> MeasureAsOf(History* h, int minutes_back,
-                                    const std::string& snap_name) {
+                                    const std::string& snap_name,
+                                    bool sweep_first = false) {
   AsOfCost out;
   WallClock target = MinutesBack(*h, minutes_back);
   // Cold log cache: the paper's scenario is an ad-hoc recovery query,
@@ -201,13 +207,13 @@ inline Result<AsOfCost> MeasureAsOf(History* h, int minutes_back,
   REWIND_ASSIGN_OR_RETURN(
       std::unique_ptr<AsOfSnapshot> snap,
       AsOfSnapshot::Create(h->db.get(), snap_name, target));
-  REWIND_RETURN_IF_ERROR(snap->WaitForUndo());
+  out.create_seconds = static_cast<double>(h->clock->NowMicros() - t0) /
+                       kSecond;
+  if (sweep_first) {
+    REWIND_RETURN_IF_ERROR(snap->WaitForUndo());
+    h->db->log()->DropCache();
+  }
   WallClock t1 = h->clock->NowMicros();
-  out.analysis_micros = snap->creation_stats().analysis_micros;
-  out.redo_micros = snap->creation_stats().redo_micros;
-  out.undo_micros = snap->creation_stats().undo_micros;
-  out.replay_threads = snap->creation_stats().replay_threads;
-
   uint64_t miss0 = h->db->stats()->log_read_misses.load();
   uint64_t undone0 = snap->rewinder()->records_undone();
   uint64_t jumps0 = snap->rewinder()->fpi_jumps();
@@ -218,56 +224,21 @@ inline Result<AsOfCost> MeasureAsOf(History* h, int minutes_back,
   WallClock t2 = h->clock->NowMicros();
 
   VersionStore::Stats vs1 = h->db->version_store()->stats();
-  out.create_seconds = static_cast<double>(t1 - t0) / kSecond;
   out.query_seconds = static_cast<double>(t2 - t1) / kSecond;
   out.undo_log_ios = h->db->stats()->log_read_misses.load() - miss0;
   out.records_undone = snap->rewinder()->records_undone() - undone0;
   out.fpi_jumps = snap->rewinder()->fpi_jumps() - jumps0;
+  out.pages_recovered_on_demand = snap->pages_recovered_on_demand();
   out.vs_exact_hits = vs1.exact_hits - vs0.exact_hits;
   out.vs_partial_hits = vs1.partial_hits - vs0.partial_hits;
-  return out;
-}
 
-/// Lazy-mount costs for the same experiment: create records only the
-/// SplitLSN (no checkpoint, no analysis wait), so the interesting split
-/// is create vs FIRST query -- the first query pays the on-demand page
-/// recoveries the eager mount front-loaded.
-struct LazyAsOfCost {
-  double create_seconds = 0;       // split search + store setup only
-  double first_query_seconds = 0;  // includes on-demand recovery
-  uint64_t pages_recovered_on_demand = 0;
-  uint64_t index_build_micros = 0;  // background (sweeper) cost
-  int result = 0;
-};
-
-/// Lazily mount an as-of snapshot T minutes back and run the
-/// stock-level query against it immediately -- without waiting for the
-/// background sweeper -- so the measurement reflects what an impatient
-/// investigator sees.
-inline Result<LazyAsOfCost> MeasureLazyAsOf(History* h, int minutes_back,
-                                            const std::string& snap_name) {
-  LazyAsOfCost out;
-  WallClock target = MinutesBack(*h, minutes_back);
-  h->db->log()->DropCache();
-
-  WallClock t0 = h->clock->NowMicros();
-  REWIND_ASSIGN_OR_RETURN(
-      std::unique_ptr<AsOfSnapshot> snap,
-      AsOfSnapshot::Create(h->db.get(), snap_name, target,
-                           MountMode::kLazy));
-  WallClock t1 = h->clock->NowMicros();
-  std::unique_ptr<ReadView> view = WrapSnapshot(snap.get());
-  REWIND_ASSIGN_OR_RETURN(out.result,
-                          TpccDatabase::StockLevelOn(view.get(), 1, 1, 60));
-  WallClock t2 = h->clock->NowMicros();
-
-  out.create_seconds = static_cast<double>(t1 - t0) / kSecond;
-  out.first_query_seconds = static_cast<double>(t2 - t1) / kSecond;
-  out.pages_recovered_on_demand = snap->pages_recovered_on_demand();
-  // Let the sweeper settle before the snapshot drops, so its background
-  // IO is not still charging the clock into the next measurement.
-  (void)snap->WaitForUndo();
-  out.index_build_micros = snap->creation_stats().index_build_micros;
+  // Let the sweeper settle before the snapshot drops, so its IO is not
+  // still charging the clock into the next measurement.
+  REWIND_RETURN_IF_ERROR(snap->WaitForUndo());
+  const AsOfSnapshot::CreationStats cs = snap->creation_stats();
+  out.sweep_micros = cs.undo_micros;
+  out.analysis_micros = cs.analysis_micros;
+  out.index_build_micros = cs.index_build_micros;
   return out;
 }
 
@@ -441,10 +412,10 @@ inline void RunCreateVsQuery(const MediaProfile& media, const char* fig,
   PrintHeader(std::string(fig) +
                   ": snapshot creation vs as-of query, media = " + media.name,
               paper_line);
-  printf("%-12s %14s %14s %12s %10s %10s\n", "minutes back", "create (s)",
-         "query (s)", "analysis(ms)", "redo(ms)", "undo(ms)");
+  printf("%-12s %12s %12s %12s %12s %12s %12s\n", "minutes back",
+         "create (ms)", "query (s)", "sweep (s)", "analysis(ms)",
+         "index (ms)", "pages/demand");
   const int sweeps[] = {1, 2, 5, 10, 20, 40};
-  std::vector<double> eager_create_s;
   int i = 0;
   for (int t : sweeps) {
     auto asof = MeasureAsOf(h, t, "cq" + std::to_string(i++));
@@ -452,60 +423,27 @@ inline void RunCreateVsQuery(const MediaProfile& media, const char* fig,
       printf("as-of failed: %s\n", asof.status().ToString().c_str());
       return;
     }
-    eager_create_s.push_back(asof->create_seconds);
-    printf("%-12d %14.3f %14.3f %12.1f %10.1f %10.1f\n", t,
-           asof->create_seconds, asof->query_seconds,
+    printf("%-12d %12.3f %12.3f %12.3f %12.1f %12.1f %12llu\n", t,
+           asof->create_seconds * 1000.0, asof->query_seconds,
+           static_cast<double>(asof->sweep_micros) / kSecond,
            static_cast<double>(asof->analysis_micros) / 1000.0,
-           static_cast<double>(asof->redo_micros) / 1000.0,
-           static_cast<double>(asof->undo_micros) / 1000.0);
+           static_cast<double>(asof->index_build_micros) / 1000.0,
+           static_cast<unsigned long long>(asof->pages_recovered_on_demand));
     printf("JSON {\"bench\":\"%s\",\"section\":\"create_vs_query\","
-           "\"minutes_back\":%d,\"create_s\":%.3f,\"query_s\":%.3f,"
-           "\"analysis_ms\":%.1f,\"redo_ms\":%.1f,\"undo_ms\":%.1f,"
-           "\"replay_threads\":%d,\"records_undone\":%llu}\n",
-           fig, t, asof->create_seconds, asof->query_seconds,
+           "\"minutes_back\":%d,\"create_ms\":%.3f,\"query_s\":%.3f,"
+           "\"sweep_s\":%.3f,\"analysis_ms\":%.1f,\"index_build_ms\":%.1f,"
+           "\"pages_recovered_on_demand\":%llu,\"records_undone\":%llu}\n",
+           fig, t, asof->create_seconds * 1000.0, asof->query_seconds,
+           static_cast<double>(asof->sweep_micros) / kSecond,
            static_cast<double>(asof->analysis_micros) / 1000.0,
-           static_cast<double>(asof->redo_micros) / 1000.0,
-           static_cast<double>(asof->undo_micros) / 1000.0,
-           asof->replay_threads,
+           static_cast<double>(asof->index_build_micros) / 1000.0,
+           static_cast<unsigned long long>(asof->pages_recovered_on_demand),
            static_cast<unsigned long long>(asof->records_undone));
   }
-  printf("\nexpected shape: creation ~flat (bounded by log scanned from "
-         "the nearest checkpoint); query grows with minutes back\n");
-
-  // Lazy mounts over the same sweep: creation records only the
-  // SplitLSN (waypoint-narrowed search, no checkpoint, no analysis
-  // wait), so lazy create stays O(1)-flat even where the eager create
-  // grows with log-since-checkpoint; the first query pays the
-  // on-demand page recoveries instead.
-  printf("\n-- lazy mounts: create vs FIRST query (on-demand recovery) --\n");
-  printf("%-12s %16s %16s %16s %12s\n", "minutes back", "lazy create (ms)",
-         "eager create (s)", "1st query (s)", "pages/demand");
-  i = 0;
-  for (int t : sweeps) {
-    auto lazy = MeasureLazyAsOf(h, t, "lz" + std::to_string(i));
-    if (!lazy.ok()) {
-      printf("lazy as-of failed: %s\n", lazy.status().ToString().c_str());
-      return;
-    }
-    printf("%-12d %16.3f %16.3f %16.3f %12llu\n", t,
-           lazy->create_seconds * 1000.0,
-           eager_create_s[static_cast<size_t>(i)],
-           lazy->first_query_seconds,
-           static_cast<unsigned long long>(lazy->pages_recovered_on_demand));
-    printf("JSON {\"bench\":\"%s\",\"section\":\"lazy_mount\","
-           "\"minutes_back\":%d,\"create_ms\":%.3f,"
-           "\"first_query_ms\":%.1f,\"pages_recovered_on_demand\":%llu,"
-           "\"index_build_ms\":%.1f,\"eager_create_ms\":%.1f}\n",
-           fig, t, lazy->create_seconds * 1000.0,
-           lazy->first_query_seconds * 1000.0,
-           static_cast<unsigned long long>(lazy->pages_recovered_on_demand),
-           static_cast<double>(lazy->index_build_micros) / 1000.0,
-           eager_create_s[static_cast<size_t>(i)] * 1000.0);
-    i++;
-  }
-  printf("\nexpected shape: lazy create flat and orders of magnitude "
-         "below eager create; the first query absorbs the recovery cost "
-         "for exactly the pages it touches\n");
+  printf("\nexpected shape: creation flat (split search + store setup "
+         "only, ~ms); the first query grows with minutes back and "
+         "recovers only the pages it touches; the background sweep "
+         "grows with the log since the target\n");
 
   // Shared version store (cache-on vs the cache-off sweep above): the
   // first snapshot at a target pays the full chain walks and publishes

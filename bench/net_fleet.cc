@@ -55,8 +55,28 @@ struct Options {
   uint32_t max_connections = 16;
 };
 
-int Run(const Options& opt) {
-  const std::string dir = BenchDir("net_fleet");
+/// Schema + seed over the wire, like any other client would.
+Status Seed(uint16_t port, int items) {
+  REWIND_ASSIGN_OR_RETURN(
+      std::unique_ptr<client::Client> c,
+      client::Client::Connect("127.0.0.1", port, "fleet-setup"));
+  REWIND_RETURN_IF_ERROR(
+      c->Execute("CREATE TABLE stock (i INT64, qty INT64, PRIMARY KEY (i))")
+          .status());
+  REWIND_RETURN_IF_ERROR(
+      c->Execute("CREATE TABLE orders (w INT64, o INT64, amount DOUBLE, "
+                 "PRIMARY KEY (w, o))")
+          .status());
+  REWIND_RETURN_IF_ERROR(c->Begin().status());
+  for (int64_t i = 0; i < items; i++) {
+    REWIND_RETURN_IF_ERROR(c->Insert("stock", {i, int64_t{100000}}));
+  }
+  return c->Commit(CommitMode::kSync);
+}
+
+/// The whole run against a fresh database under `dir`; returns the
+/// process exit code.
+int Run(const Options& opt, const std::string& dir) {
   auto conn = Connection::Create(dir + "/db");
   if (!conn.ok()) {
     fprintf(stderr, "create: %s\n", conn.status().ToString().c_str());
@@ -73,32 +93,9 @@ int Run(const Options& opt) {
   }
   const uint16_t port = server.port();
 
-  // Schema + seed over the wire, like any other client would.
-  {
-    auto c = client::Client::Connect("127.0.0.1", port, "fleet-setup");
-    if (!c.ok()) {
-      fprintf(stderr, "connect: %s\n", c.status().ToString().c_str());
-      return 1;
-    }
-    auto must = [&](const Status& s, const char* what) {
-      if (!s.ok()) {
-        fprintf(stderr, "%s: %s\n", what, s.ToString().c_str());
-        exit(1);
-      }
-    };
-    must((*c)->Execute("CREATE TABLE stock (i INT64, qty INT64, "
-                       "PRIMARY KEY (i))")
-             .status(),
-         "create stock");
-    must((*c)->Execute("CREATE TABLE orders (w INT64, o INT64, amount "
-                       "DOUBLE, PRIMARY KEY (w, o))")
-             .status(),
-         "create orders");
-    must((*c)->Begin().status(), "begin");
-    for (int64_t i = 0; i < opt.items; i++) {
-      must((*c)->Insert("stock", {i, int64_t{100000}}), "seed stock");
-    }
-    must((*c)->Commit(CommitMode::kSync), "seed commit");
+  if (Status s = Seed(port, opt.items); !s.ok()) {
+    fprintf(stderr, "setup: %s\n", s.ToString().c_str());
+    return 1;
   }
   const size_t anchor_baseline = db->SnapshotAnchorCount();
 
@@ -302,5 +299,10 @@ int main(int argc, char** argv) {
             "[--seconds=S] [--items=K] [--max-connections=C]\n");
     return 2;
   }
-  return rewinddb::bench::Run(opt);
+  // BenchDir clears the directory only when a run starts, so remove it
+  // here too, whichever way the run ended.
+  const std::string dir = rewinddb::bench::BenchDir("net_fleet");
+  const int rc = rewinddb::bench::Run(opt, dir);
+  std::filesystem::remove_all(dir);
+  return rc;
 }

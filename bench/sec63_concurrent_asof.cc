@@ -30,21 +30,16 @@ struct AsOfPhase {
   uint64_t queries_ok = 0;
   uint64_t create_micros = 0;
   uint64_t query_micros = 0;
-  /// Mount-phase totals across all snapshots of the phase (analysis
-  /// scan / lock re-acquisition / background undo), attributing the
-  /// create+undo cost per phase.
+  /// Background sweep totals across all snapshots of the phase
+  /// (analysis scan / the whole sweep).
   uint64_t analysis_micros = 0;
-  uint64_t redo_micros = 0;
   uint64_t undo_micros = 0;
-  int replay_threads = 1;
   /// Per-cycle split: the first investigator of an incident time pays
   /// the full chain walks; with the store on, the second reuses them.
   uint64_t first_records_undone = 0;
   uint64_t second_records_undone = 0;
-  /// Lazy phase only: pages recovered on first access across all
-  /// snapshots (the work the eager phases front-load at create time).
+  /// Pages recovered on first access across all snapshots.
   uint64_t pages_on_demand = 0;
-  bool lazy = false;
   double tpmc = 0;
   VersionStore::Stats vs;
 };
@@ -56,17 +51,14 @@ struct AsOfPhase {
 /// the shared version store exists for.
 AsOfPhase RunConcurrentPhase(Database* db, TpccDatabase* tpcc,
                              int new_orders, uint64_t seed,
-                             const char* tag,
-                             MountMode mode = MountMode::kEager) {
+                             const char* tag) {
   AsOfPhase out;
-  out.lazy = mode == MountMode::kLazy;
   VersionStore::Stats vs0 = db->version_store()->stats();
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> snapshots_ok{0}, queries_ok{0};
   std::atomic<uint64_t> create_micros{0}, query_micros{0};
-  std::atomic<uint64_t> analysis_micros{0}, redo_micros{0}, undo_micros{0};
+  std::atomic<uint64_t> analysis_micros{0}, undo_micros{0};
   std::atomic<uint64_t> pages_on_demand{0};
-  std::atomic<int> replay_threads{1};
   std::atomic<uint64_t> undone_by_rep[2] = {};
   std::thread asof_loop([&] {
     int n = 0;
@@ -79,38 +71,33 @@ AsOfPhase RunConcurrentPhase(Database* db, TpccDatabase* tpcc,
       for (int rep = 0; rep < 2 && !stop.load(); rep++) {
         auto t0 = std::chrono::steady_clock::now();
         auto snap = AsOfSnapshot::Create(
-            db, std::string(tag) + std::to_string(n++), target, mode);
+            db, std::string(tag) + std::to_string(n++), target);
         // A failed investigator aborts the cycle: letting rep 1 run
         // after a failed rep 0 would book a cold full walk into the
         // "second investigator" bucket.
         if (!snap.ok()) break;
-        // The lazy investigator queries immediately: the first query
-        // pays the on-demand recovery the eager mount front-loads.
-        Status u = mode == MountMode::kLazy ? Status::OK()
-                                            : (*snap)->WaitForUndo();
         auto t1 = std::chrono::steady_clock::now();
-        if (!u.ok()) break;
         snapshots_ok.fetch_add(1);
         create_micros.fetch_add(static_cast<uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
                 .count()));
-        const auto& cs = (*snap)->creation_stats();
-        analysis_micros.fetch_add(cs.analysis_micros);
-        redo_micros.fetch_add(cs.redo_micros);
-        undo_micros.fetch_add(cs.undo_micros);
-        replay_threads.store(cs.replay_threads);
-        uint64_t undone0 = (*snap)->rewinder()->records_undone();
-        auto q0 = std::chrono::steady_clock::now();
+        // The investigator queries at once: the first query pays the
+        // on-demand recovery of what it touches while the sweeper works.
         auto view = WrapSnapshot(snap->get());
         auto low = TpccDatabase::StockLevelOn(view.get(), 1, 1, 60);
         auto q1 = std::chrono::steady_clock::now();
         if (!low.ok()) break;
         queries_ok.fetch_add(1);
         query_micros.fetch_add(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(q1 - q0)
+            std::chrono::duration_cast<std::chrono::microseconds>(q1 - t1)
                 .count()));
-        undone_by_rep[rep].fetch_add(
-            (*snap)->rewinder()->records_undone() - undone0);
+        // Records undone is read after the sweep, so it counts the
+        // query's page rewinds and the sweeper's loser undo alike.
+        if (!(*snap)->WaitForUndo().ok()) break;
+        const auto cs = (*snap)->creation_stats();
+        analysis_micros.fetch_add(cs.analysis_micros);
+        undo_micros.fetch_add(cs.undo_micros);
+        undone_by_rep[rep].fetch_add((*snap)->rewinder()->records_undone());
         pages_on_demand.fetch_add((*snap)->pages_recovered_on_demand());
       }
     }
@@ -124,9 +111,7 @@ AsOfPhase RunConcurrentPhase(Database* db, TpccDatabase* tpcc,
   out.create_micros = create_micros.load();
   out.query_micros = query_micros.load();
   out.analysis_micros = analysis_micros.load();
-  out.redo_micros = redo_micros.load();
   out.undo_micros = undo_micros.load();
-  out.replay_threads = replay_threads.load();
   out.first_records_undone = undone_by_rep[0].load();
   out.second_records_undone = undone_by_rep[1].load();
   out.pages_on_demand = pages_on_demand.load();
@@ -160,10 +145,8 @@ void PrintPhase(const char* name, const AsOfPhase& p) {
            static_cast<unsigned long long>(p.first_records_undone),
            static_cast<unsigned long long>(p.second_records_undone));
   }
-  if (p.lazy) {
-    printf("%-34s %12llu\n", "  pages recovered on demand",
-           static_cast<unsigned long long>(p.pages_on_demand));
-  }
+  printf("%-34s %12llu\n", "  pages recovered on demand",
+         static_cast<unsigned long long>(p.pages_on_demand));
   printf("%-34s %12llu exact, %llu partial, %llu published\n",
          "  version store",
          static_cast<unsigned long long>(p.vs.exact_hits),
@@ -175,17 +158,17 @@ void PrintJson(const char* phase, const AsOfPhase& p) {
   double snaps = p.snapshots_ok > 0
                      ? static_cast<double>(p.snapshots_ok)
                      : 1.0;
-  printf("JSON {\"bench\":\"sec63\",\"phase\":\"%s\",\"mount\":\"%s\","
+  printf("JSON {\"bench\":\"sec63\",\"phase\":\"%s\","
          "\"tpmc\":%.0f,"
          "\"snapshots\":%llu,\"queries\":%llu,\"avg_create_ms\":%.1f,"
-         "\"avg_query_ms\":%.1f,\"analysis_ms\":%.1f,\"redo_ms\":%.1f,"
-         "\"undo_ms\":%.1f,\"replay_threads\":%d,"
+         "\"avg_query_ms\":%.1f,\"analysis_ms\":%.1f,"
+         "\"sweep_ms\":%.1f,"
          "\"first_records_undone\":%llu,"
          "\"second_records_undone\":%llu,"
          "\"pages_recovered_on_demand\":%llu,"
          "\"vs_exact_hits\":%llu,\"vs_partial_hits\":%llu,"
          "\"vs_published\":%llu,\"vs_evictions\":%llu}\n",
-         phase, p.lazy ? "lazy" : "eager", p.tpmc,
+         phase, p.tpmc,
          static_cast<unsigned long long>(p.snapshots_ok),
          static_cast<unsigned long long>(p.queries_ok),
          p.snapshots_ok > 0 ? static_cast<double>(p.create_micros) / 1000.0 /
@@ -195,9 +178,7 @@ void PrintJson(const char* phase, const AsOfPhase& p) {
                                 static_cast<double>(p.queries_ok)
                           : 0.0,
          static_cast<double>(p.analysis_micros) / 1000.0 / snaps,
-         static_cast<double>(p.redo_micros) / 1000.0 / snaps,
          static_cast<double>(p.undo_micros) / 1000.0 / snaps,
-         p.replay_threads,
          static_cast<unsigned long long>(p.first_records_undone),
          static_cast<unsigned long long>(p.second_records_undone),
          static_cast<unsigned long long>(p.pages_on_demand),
@@ -251,14 +232,6 @@ int main() {
   AsOfPhase on = RunConcurrentPhase(db->get(), tpcc->get(), 12000, 29,
                                     "on");
 
-  // Phase C -- lazy investigators (store back off, matching phase A):
-  // snapshots mount in O(1) and the first query recovers only the
-  // pages it touches, so the create-time hit on the foreground
-  // workload disappears and the cost moves into the query.
-  (*db)->version_store()->SetBudget(0);
-  AsOfPhase lazy = RunConcurrentPhase(db->get(), tpcc->get(), 12000, 31,
-                                      "lz", MountMode::kLazy);
-
   double baseline2 = RunFixedWork(tpcc->get(), 8000, 17);
   double baseline_tpmc = (baseline1 + baseline2) / 2;
 
@@ -266,7 +239,6 @@ int main() {
          "baseline throughput", baseline_tpmc, baseline1, baseline2);
   PrintPhase("store OFF, with as-of loop", off);
   PrintPhase("store ON,  with as-of loop", on);
-  PrintPhase("LAZY mounts, with as-of loop", lazy);
   // The phases run in a fixed order against one growing database, so
   // the on-phase works on larger tables and a longer log than the
   // off-phase: the cross-phase tpmC/latency comparison is biased
@@ -274,22 +246,18 @@ int main() {
   // first-vs-second investigator split above.
   double ratio_off = baseline_tpmc > 0 ? off.tpmc / baseline_tpmc : 0;
   double ratio_on = baseline_tpmc > 0 ? on.tpmc / baseline_tpmc : 0;
-  double ratio_lazy = baseline_tpmc > 0 ? lazy.tpmc / baseline_tpmc : 0;
   printf("%-34s %12.2fx   (paper: ~0.67x)\n", "throughput ratio (store off)",
          ratio_off);
   printf("%-34s %12.2fx   (runs second: biased low by db growth)\n",
          "throughput ratio (store on)", ratio_on);
-  printf("%-34s %12.2fx   (runs third: biased low by db growth)\n",
-         "throughput ratio (lazy mounts)", ratio_lazy);
   PrintJson("store_off", off);
   PrintJson("store_on", on);
-  PrintJson("lazy", lazy);
   printf("\nexpected shape: throughput drops but stays within the same "
          "order of magnitude while as-of queries run continuously; with "
          "the version store on, as-of queries undo fewer records per "
-         "query (exact/partial hits replace chain walks); lazy mounts "
-         "collapse avg_create_ms to ~constant and move the recovery "
-         "cost into the first query's on-demand page fetches\n");
+         "query (exact/partial hits replace chain walks); "
+         "avg_create_ms stays ~constant because a mount only searches "
+         "the split\n");
 
   tpcc->reset();
   db->reset();

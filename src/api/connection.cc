@@ -6,14 +6,13 @@ namespace rewinddb {
 
 Connection::Connection(Database* db)
     : db_(db),
-      commit_mode_(db->options().default_commit_mode),
-      lazy_mounts_(db->options().lazy_mount) {}
+      commit_mode_(db->options().default_commit_mode) {}
 
 Connection::~Connection() {
   // Every snapshot this Connection minted -- named or anonymous -- is
   // released before the engine: their destructors unregister log
   // anchors and delete side files against `db_`, and their background
-  // undo threads read its log. Handles that outlive the Connection
+  // sweepers read its log. Handles that outlive the Connection
   // then fail with Status::Aborted instead of touching a dead engine.
   std::map<std::string, std::shared_ptr<api_internal::SnapshotState>> snaps;
   std::vector<std::weak_ptr<api_internal::SnapshotState>> anon;
@@ -68,14 +67,6 @@ void Connection::SetDefaultCommitMode(CommitMode mode) {
 
 CommitMode Connection::default_commit_mode() const {
   return commit_mode_.load(std::memory_order_relaxed);
-}
-
-void Connection::SetLazyMounts(bool lazy) {
-  lazy_mounts_.store(lazy, std::memory_order_relaxed);
-}
-
-bool Connection::lazy_mounts() const {
-  return lazy_mounts_.load(std::memory_order_relaxed);
 }
 
 LazyMountCounters Connection::LazyMountStats() const {
@@ -194,9 +185,7 @@ Result<std::shared_ptr<ReadView>> Connection::AsOf(WallClock as_of) {
   std::string name = "__asof" + std::to_string(db_->AllocateObjectId());
   REWIND_ASSIGN_OR_RETURN(
       std::unique_ptr<AsOfSnapshot> snap,
-      AsOfSnapshot::Create(db_, name, as_of,
-                           lazy_mounts() ? MountMode::kLazy
-                                         : MountMode::kEager));
+      AsOfSnapshot::Create(db_, name, as_of));
   auto state = api_internal::AdoptSnapshot(std::move(snap));
   {
     std::lock_guard<std::mutex> g(mu_);
@@ -224,9 +213,7 @@ Status Connection::CreateSnapshot(const std::string& name, WallClock as_of) {
     }
     creating_.insert(name);
   }
-  auto snap = AsOfSnapshot::Create(
-      db_, name, as_of,
-      lazy_mounts() ? MountMode::kLazy : MountMode::kEager);
+  auto snap = AsOfSnapshot::Create(db_, name, as_of);
   std::lock_guard<std::mutex> g(mu_);
   creating_.erase(name);
   if (!snap.ok()) return snap.status();

@@ -65,14 +65,7 @@ class Connection {
   void SetDefaultCommitMode(CommitMode mode);
   CommitMode default_commit_mode() const;
 
-  /// Session mount mode for AsOf()/CreateSnapshot() (initially the
-  /// engine's DatabaseOptions::lazy_mount). The SQL statement
-  /// SET MOUNT_MODE = LAZY | EAGER binds here. Lazy mounts return in
-  /// O(1) and recover pages/trees on first access; eager mounts pay
-  /// checkpoint + analysis up front. Both serve identical data.
-  void SetLazyMounts(bool lazy);
-  bool lazy_mounts() const;
-  /// Engine-wide lazy-mount effectiveness counters (SHOW STATS).
+  /// Engine-wide AS OF mount counters (SHOW STATS lazy_mount.*).
   LazyMountCounters LazyMountStats() const;
 
   // ------------------------------ DDL --------------------------------
@@ -171,7 +164,6 @@ class Connection {
   std::unique_ptr<Database> owned_;
   Database* db_;
   std::atomic<CommitMode> commit_mode_;
-  std::atomic<bool> lazy_mounts_;
 
   mutable std::mutex mu_;  // guards the four members below
   std::map<std::string, std::shared_ptr<api_internal::SnapshotState>>

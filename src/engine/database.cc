@@ -31,15 +31,6 @@ bool DefaultArchiveEnabled() {
   return cached;
 }
 
-bool DefaultLazyMount() {
-  static const bool cached = [] {
-    const char* env = std::getenv("REWINDDB_LAZY_MOUNT");
-    return env != nullptr && *env != '\0' &&
-           !(env[0] == '0' && env[1] == '\0');
-  }();
-  return cached;
-}
-
 namespace {
 bool EnvFlagSet(const char* name) {
   const char* env = std::getenv(name);
@@ -449,73 +440,26 @@ Status Database::RunRecovery() {
   // at the split every user record on the tree predates the SMO.
   t0 = clock_->NowMicros();
   recovery_stats_.loser_transactions = att.size();
-  if (threads == 1) {
-    // Serial degenerate case: the classic interleaved walk, undoing
-    // the globally largest next-LSN first (identical to the
-    // pre-parallel path, CLR layout included).
-    PhysicalUndoApplier physical_applier(buffers_.get(), ops_.get());
-    LogicalUndoApplier logical_applier(write_ctx());
-    std::unordered_map<TxnId, Transaction*> losers;
-    for (const auto& [id, last] : att) {
-      losers[id] = txns_->AdoptForRecovery(id, last);
+  // Classify each loser by its last record's is_system flag (every
+  // record carries it), then: system losers serially, user losers
+  // fanned out across the replay workers (inline, in order, at one).
+  std::vector<AttEntry> system_losers;
+  std::vector<AttEntry> user_losers;
+  for (const auto& [id, last] : att) {
+    REWIND_RETURN_IF_ERROR(cur.SeekToChain(last));
+    if (cur.record().is_system) {
+      system_losers.push_back({id, last});
+    } else {
+      user_losers.push_back({id, last});
     }
-    std::unordered_map<TxnId, Lsn> cursor(att.begin(), att.end());
-    while (!cursor.empty()) {
-      TxnId victim = 0;
-      Lsn max_lsn = 0;
-      for (const auto& [id, lsn] : cursor) {
-        if (lsn >= max_lsn) {
-          max_lsn = lsn;
-          victim = id;
-        }
-      }
-      if (max_lsn == kInvalidLsn) break;
-      REWIND_RETURN_IF_ERROR(cur.SeekToChain(max_lsn));
-      const LogRecord& rec = cur.record();
-      Transaction* txn = losers[victim];
-      if (rec.type == LogType::kClr) {
-        cursor[victim] = rec.undo_next_lsn;
-      } else if (rec.type == LogType::kBegin) {
-        cursor[victim] = kInvalidLsn;
-      } else {
-        UndoApplier* applier =
-            rec.is_system ? static_cast<UndoApplier*>(&physical_applier)
-                          : static_cast<UndoApplier*>(&logical_applier);
-        REWIND_RETURN_IF_ERROR(applier->UndoRecord(txn, max_lsn, rec));
-        cursor[victim] = rec.prev_lsn;
-      }
-      if (cursor[victim] == kInvalidLsn) {
-        LogRecord abort;
-        abort.type = LogType::kAbort;
-        abort.txn_id = victim;
-        abort.prev_lsn = txn->last_lsn;
-        wal_->Append(abort);
-        txns_->Forget(txn);
-        cursor.erase(victim);
-      }
-    }
-  } else {
-    // Classify each loser by its last record's is_system flag (every
-    // record carries it), then: system losers serially, user losers
-    // fanned out across the replay workers.
-    std::vector<AttEntry> system_losers;
-    std::vector<AttEntry> user_losers;
-    for (const auto& [id, last] : att) {
-      REWIND_RETURN_IF_ERROR(cur.SeekToChain(last));
-      if (cur.record().is_system) {
-        system_losers.push_back({id, last});
-      } else {
-        user_losers.push_back({id, last});
-      }
-    }
-    for (const AttEntry& e : system_losers) {
-      REWIND_RETURN_IF_ERROR(UndoLoser(e.txn_id, e.last_lsn));
-    }
-    REWIND_RETURN_IF_ERROR(replay::ParallelFor(
-        threads, user_losers.size(), [&](size_t i) {
-          return UndoLoser(user_losers[i].txn_id, user_losers[i].last_lsn);
-        }));
   }
+  for (const AttEntry& e : system_losers) {
+    REWIND_RETURN_IF_ERROR(UndoLoser(e.txn_id, e.last_lsn));
+  }
+  REWIND_RETURN_IF_ERROR(replay::ParallelFor(
+      threads, user_losers.size(), [&](size_t i) {
+        return UndoLoser(user_losers[i].txn_id, user_losers[i].last_lsn);
+      }));
   recovery_stats_.undo_micros = clock_->NowMicros() - t0;
   REWIND_RETURN_IF_ERROR(wal_->FlushAll());
   return Checkpoint();

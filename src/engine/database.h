@@ -48,11 +48,6 @@ uint64_t DefaultCheckpointIntervalBytes();
 /// archive tier (any non-empty value except "0").
 bool DefaultArchiveEnabled();
 
-/// True when the REWINDDB_LAZY_MOUNT environment variable asks for
-/// lazy AS OF mounts (any non-empty value except "0"). How CI runs the
-/// whole suite with lazy mounts on.
-bool DefaultLazyMount();
-
 /// True when REWINDDB_WAL_COMPRESSION or REWINDDB_WAL_DIET asks for
 /// group-commit batch compression (any non-empty value except "0").
 bool DefaultWalCompression();
@@ -125,37 +120,27 @@ struct DatabaseOptions {
   /// 0 = follow undo_interval_micros. Only meaningful with the archive
   /// tier on; segments pinned by a live snapshot are never dropped.
   uint64_t archive_retention_micros = 0;
-  /// Worker threads for parallel replay: crash-recovery redo/undo and
-  /// snapshot background undo run a dispatcher that partitions log
-  /// records across this many workers (redo by page, undo by loser
-  /// transaction). 1 keeps the serial path as the degenerate case.
-  /// The default honours the REWINDDB_REPLAY_THREADS environment
-  /// variable (how CI runs the whole suite with workers on).
+  /// Worker threads for crash recovery only: redo partitions log
+  /// records across this many workers by page, undo by loser
+  /// transaction (system losers first, serially). 1 applies both
+  /// inline on the recovering thread. AS OF mounts do not use it. The
+  /// default honours the REWINDDB_REPLAY_THREADS environment variable
+  /// (how CI runs the whole suite with workers on).
   int replay_threads = replay::DefaultReplayThreads();
   /// Buffer pool shard count (per-shard hash table + mutex + clock
   /// hand); 0 = auto: one shard per 128 frames, at most 16. Small
   /// pools degenerate to a single shard.
   size_t buffer_shards = 0;
-  /// Lazy AS OF mounts: snapshot creation records only the SplitLSN
-  /// and defers analysis + loser undo to a background sweeper, while
-  /// pages are recovered individually on first access (per-page rewind
-  /// entered through the mount's page log index). Mount cost becomes
-  /// O(1) in log-since-backup; first-query latency becomes O(working
-  /// set). The eager path (default) stays the oracle: both produce
-  /// byte-identical page images (tests/lazy_mount_test.cc). Overridable
-  /// per session with SET MOUNT_MODE. The default honours the
-  /// REWINDDB_LAZY_MOUNT environment variable.
-  bool lazy_mount = DefaultLazyMount();
 };
 
 /// Counters behind SHOW STATS' lazy_mount.* rows: how much recovery
-/// work lazy mounts deferred and where it was eventually paid (on
+/// work AS OF mounts deferred and where it was eventually paid (on
 /// demand by queries vs. by the background sweeper). Plain values; the
 /// engine keeps them in relaxed atomics.
 struct LazyMountCounters {
+  /// AS OF mounts created (every mount is lazy).
   uint64_t lazy_mounts = 0;
-  uint64_t eager_mounts = 0;
-  /// Pages recovered on first access by a lazily mounted snapshot.
+  /// Pages recovered on first access by a snapshot.
   uint64_t pages_recovered_on_demand = 0;
   /// On-demand recoveries that entered the chain at an indexed
   /// post-split page image instead of walking from the current page.
@@ -263,8 +248,7 @@ class Database {
   // ------------------------- maintenance -----------------------------
   /// SHARP checkpoint: wall-clock-stamped begin/end records, full dirty
   /// page flush, master record update. After it the data file holds
-  /// every pre-checkpoint change -- what snapshot creation (section
-  /// 5.2's "redo needs no page reads") and backup rely on. Drains the
+  /// every pre-checkpoint change -- what backup relies on. Drains the
   /// buffer pool's dirty set, so prefer FuzzyCheckpoint() for routine
   /// log bounding.
   Status Checkpoint();
@@ -347,11 +331,10 @@ class Database {
   /// session teardown released every snapshot handle.
   size_t SnapshotAnchorCount();
 
-  /// Lazy-mount accounting (bumped by AsOfSnapshot, which this
+  /// Mount accounting (bumped by AsOfSnapshot, which this
   /// Database always outlives).
-  void BumpLazyMount(bool lazy) {
-    (lazy ? lazy_mounts_ : eager_mounts_)
-        .fetch_add(1, std::memory_order_relaxed);
+  void BumpLazyMounts() {
+    lazy_mounts_.fetch_add(1, std::memory_order_relaxed);
   }
   void BumpPagesRecoveredOnDemand(bool via_fpi_index) {
     pages_recovered_on_demand_.fetch_add(1, std::memory_order_relaxed);
@@ -366,7 +349,6 @@ class Database {
   LazyMountCounters lazy_mount_counters() const {
     LazyMountCounters c;
     c.lazy_mounts = lazy_mounts_.load(std::memory_order_relaxed);
-    c.eager_mounts = eager_mounts_.load(std::memory_order_relaxed);
     c.pages_recovered_on_demand =
         pages_recovered_on_demand_.load(std::memory_order_relaxed);
     c.fpi_index_hits = fpi_index_hits_.load(std::memory_order_relaxed);
@@ -470,7 +452,6 @@ class Database {
   std::multiset<Lsn> snapshot_anchors_;
 
   std::atomic<uint64_t> lazy_mounts_{0};
-  std::atomic<uint64_t> eager_mounts_{0};
   std::atomic<uint64_t> pages_recovered_on_demand_{0};
   std::atomic<uint64_t> fpi_index_hits_{0};
   std::atomic<uint64_t> trees_recovered_on_demand_{0};

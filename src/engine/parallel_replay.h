@@ -1,5 +1,5 @@
 // Parallel replay: the worker-pool machinery behind crash-recovery
-// redo/undo and snapshot background undo.
+// redo/undo.
 //
 // Two partitioning schemes, matching the two phases' ordering
 // invariants:

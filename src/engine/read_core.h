@@ -4,10 +4,11 @@
 // near-identical copies of the Get/Scan/IndexScan/Count loops, differing
 // only in how a row's visibility is decided: live transactional reads
 // S-lock rows (try-lock + yield during scans, so a scan never waits on a
-// lock while holding a latch), while as-of reads wait for the snapshot's
-// background undo to erase in-flight transactions' effects. This file
-// implements those loops once, parameterized by a RowGate that supplies
-// the buffer pool, the per-tree latches and the visibility decisions.
+// lock while holding a latch), while as-of reads need no row checks (a
+// snapshot undoes a tree's in-flight transactions before its first
+// read). This file implements those loops once, parameterized by a
+// RowGate that supplies the buffer pool, the per-tree latches and the
+// visibility decisions.
 #ifndef REWINDDB_ENGINE_READ_CORE_H_
 #define REWINDDB_ENGINE_READ_CORE_H_
 
@@ -41,15 +42,12 @@ class RowGate {
   virtual std::shared_mutex* TreeLatch(TreeId tree) = 0;
 
   /// Called before a point read of primary key `pk`: S-lock it (live
-  /// transactional read), wait until background undo made it visible
-  /// (snapshot), or do nothing (untracked live read).
+  /// transactional read) or do nothing (untracked live read, snapshot).
   virtual Status BeforePointRead(TreeId tree, const std::string& pk) = 0;
 
   /// Cheap per-row pre-test: false means every row is visible and
   /// CheckScanRow will not be called, sparing the scan the key
-  /// materialization (untracked live reads; snapshots once background
-  /// undo completed). May flip true->false mid-scan, never the other
-  /// way.
+  /// materialization (untracked live reads, snapshots).
   virtual bool ScanNeedsRowCheck() = 0;
 
   /// Called under the tree latch for each row a scan is about to
@@ -60,12 +58,6 @@ class RowGate {
 
   /// Latch-free wait after a yield; returns once `key` may be re-read.
   virtual Status AwaitRow(TreeId tree, const std::string& key) = 0;
-
-  /// True while rows may exist in the tree that this surface must not
-  /// count (snapshot background undo still running); forces Count() to
-  /// take the visibility-checked scan path instead of the raw tree
-  /// count.
-  virtual bool CountNeedsVisibilityScan() = 0;
 };
 
 /// The four read operations every table surface exposes, implemented
@@ -87,8 +79,7 @@ Status ReadCoreIndexScan(RowGate* gate, const TableInfo& info,
                          const Row& prefix_values,
                          const std::function<bool(const Row&)>& cb);
 
-Result<uint64_t> ReadCoreCount(RowGate* gate, const TableInfo& info,
-                               const std::vector<ColumnType>& types);
+Result<uint64_t> ReadCoreCount(RowGate* gate, const TableInfo& info);
 
 }  // namespace rewinddb
 

@@ -39,7 +39,6 @@ class LiveRowGate : public RowGate {
     return db_->locks()->Acquire(txn_->id, RowLockKey(tree, key),
                                  LockMode::kShared);
   }
-  bool CountNeedsVisibilityScan() override { return false; }
 
  private:
   Database* db_;
@@ -181,7 +180,7 @@ Status Table::IndexScan(Transaction* txn, const std::string& index_name,
 
 Result<uint64_t> Table::Count() {
   LiveRowGate gate(db_, nullptr);
-  return ReadCoreCount(&gate, info_, types_);
+  return ReadCoreCount(&gate, info_);
 }
 
 }  // namespace rewinddb

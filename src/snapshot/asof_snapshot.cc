@@ -13,13 +13,9 @@ namespace rewinddb {
 
 namespace {
 
-/// As-of read gate: a row held by a transaction that was in flight at
-/// the SplitLSN is invisible until the background undo erases it.
-///
-/// Lazy mounts never need the per-row machinery: a tree's whole loser
-/// undo is applied by EnsureTreeRecovered BEFORE the query surface
-/// reads the tree, so every row the B-tree can deliver is already
-/// visible and the gate degenerates to latches + buffers.
+/// As-of read gate: latches + buffers only. A tree's whole loser undo
+/// is applied by EnsureTreeRecovered BEFORE the query surface reads the
+/// tree, so every row the B-tree can deliver is already visible.
 class SnapshotRowGate : public RowGate {
  public:
   explicit SnapshotRowGate(AsOfSnapshot* snap) : snap_(snap) {}
@@ -28,24 +24,15 @@ class SnapshotRowGate : public RowGate {
   std::shared_mutex* TreeLatch(TreeId tree) override {
     return snap_->TreeLatch(tree);
   }
-  Status BeforePointRead(TreeId tree, const std::string& pk) override {
-    if (snap_->lazy()) return Status::OK();
-    return snap_->WaitRowVisible(tree, pk);
+  Status BeforePointRead(TreeId, const std::string&) override {
+    return Status::OK();
   }
-  bool ScanNeedsRowCheck() override {
-    return !snap_->lazy() && !snap_->undo_complete();
-  }
-  Result<Check> CheckScanRow(TreeId tree, const std::string& key) override {
-    if (!snap_->undo_complete() && snap_->RowBusy(tree, key)) {
-      return Check::kYield;
-    }
+  bool ScanNeedsRowCheck() override { return false; }
+  Result<Check> CheckScanRow(TreeId, const std::string&) override {
     return Check::kVisible;
   }
-  Status AwaitRow(TreeId tree, const std::string& key) override {
-    return snap_->WaitRowVisible(tree, key);
-  }
-  bool CountNeedsVisibilityScan() override {
-    return !snap_->lazy() && !snap_->undo_complete();
+  Status AwaitRow(TreeId, const std::string&) override {
+    return Status::OK();
   }
 
  private:
@@ -61,8 +48,8 @@ Status SnapshotStore::ReadPage(PageId id, char* buf) {
   // side file and the primary: (a) side file, (b) version store --
   // exact hit needs no chain walk at all, a newer-than-target version
   // seeds the rewind so the walk covers only the gap, (c) a fresh
-  // image + rewind (RecoverPage; the image source and entry point
-  // depend on the mount mode). Completed rewinds publish their
+  // image + rewind (RecoverPage; the entry point depends on the page
+  // log index). Completed rewinds publish their
   // pristine result for other snapshots; the prepared page is cached
   // in the side file. A recovery failure caches NOTHING -- neither
   // tier sees a partial page, so a later read simply retries.
@@ -80,19 +67,15 @@ Status SnapshotStore::RecoverPage(PageId id, char* buf) {
   if (versions_ != nullptr) hit = versions_->Find(id, split_lsn_, buf);
   if (hit.kind == VersionStore::LookupKind::kExact) return Status::OK();
 
-  const bool lazy = owner_ != nullptr && owner_->lazy();
-  bool have_seed = hit.kind == VersionStore::LookupKind::kPartial;
   bool via_fpi = false;
   bool walk_done = false;
   Lsn valid_until = kInvalidLsn;
 
-  if (!have_seed && lazy) {
+  if (hit.kind != VersionStore::LookupKind::kPartial) {
     REWIND_RETURN_IF_ERROR(
         owner_->CheckRecoveryFault(RecoveryFaultPoint::kIndexLookup, id));
-    std::optional<PageLogIndex::Entry> e;
-    if (owner_->page_log_index() != nullptr) {
-      e = owner_->page_log_index()->Lookup(id);
-    }
+    std::optional<PageLogIndex::Entry> e =
+        owner_->page_log_index()->Lookup(id);
     if (e.has_value() && e->fpi_lsn != kInvalidLsn) {
       // Enter the chain at the indexed post-split image. Its payload is
       // the page as of fpi.prev_page_lsn, so the walk (if any) covers
@@ -107,15 +90,13 @@ Status SnapshotStore::RecoverPage(PageId id, char* buf) {
             "page log index does not point at a page image");
       }
       // Delta-encoded FPIs stand for the same full image; compose the
-      // chain (lazy/eager parity: both paths go through the same
-      // materialization, so the seeded bytes are identical).
+      // chain.
       std::string img;
       REWIND_RETURN_IF_ERROR(wal::MaterializeFpiImage(cur, &img));
       memcpy(buf, img.data(), kPageSize);
       SetPageLsn(buf, fpi.prev_page_lsn);
       Header(buf)->last_fpi_lsn = fpi.prev_fpi_lsn;
       via_fpi = true;
-      have_seed = true;
       if (PageLsn(buf) <= split_lsn_) {
         // The image IS the split-time page: valid until the preformat
         // record that captured it.
@@ -124,27 +105,22 @@ Status SnapshotStore::RecoverPage(PageId id, char* buf) {
       }
     } else {
       // No indexed entry point: rewind from the CURRENT image, read
-      // through the primary's buffer pool so unflushed changes (no
-      // creation checkpoint under lazy!) are included.
+      // through the primary's buffer pool so unflushed changes are
+      // included (a mount takes no checkpoint).
       REWIND_ASSIGN_OR_RETURN(
           PageGuard live,
           owner_->primary()->buffers()->FetchPage(id, AccessMode::kRead));
       memcpy(buf, live.data(), kPageSize);
-      have_seed = true;
     }
-  } else if (!have_seed) {
-    REWIND_RETURN_IF_ERROR(primary_->ReadPage(id, buf));
   }
   if (!walk_done) {
-    if (lazy) {
-      REWIND_RETURN_IF_ERROR(
-          owner_->CheckRecoveryFault(RecoveryFaultPoint::kRewindRead, id));
-    }
+    REWIND_RETURN_IF_ERROR(
+        owner_->CheckRecoveryFault(RecoveryFaultPoint::kRewindRead, id));
     REWIND_RETURN_IF_ERROR(
         rewinder_->PreparePageAsOf(buf, split_lsn_, &valid_until));
   }
   if (versions_ != nullptr) versions_->Publish(id, buf, valid_until);
-  if (lazy) owner_->NotePageRecovered(via_fpi);
+  owner_->NotePageRecovered(via_fpi);
   return Status::OK();
 }
 
@@ -162,8 +138,7 @@ SnapshotTable::SnapshotTable(AsOfSnapshot* snap, TableInfo info,
       types_(info_.schema.types()) {}
 
 // Every read first makes sure the tree(s) it will traverse are free of
-// loser effects (a no-op under eager mounts, where per-row locks gate
-// instead). This is the lazy mount's query-side recovery trigger: the
+// loser effects. This is the mount's query-side recovery trigger: the
 // FIRST touch of a tree pays its loser undo, later touches are free.
 
 Result<Row> SnapshotTable::Get(const Row& key_values) {
@@ -197,77 +172,45 @@ Status SnapshotTable::IndexScan(const std::string& index_name,
 Result<uint64_t> SnapshotTable::Count() {
   REWIND_RETURN_IF_ERROR(snap_->EnsureTreeRecovered(info_.root));
   SnapshotRowGate gate(snap_);
-  return ReadCoreCount(&gate, info_, types_);
+  return ReadCoreCount(&gate, info_);
 }
 
 // ----------------------------- AsOfSnapshot ---------------------------
 
 AsOfSnapshot::AsOfSnapshot(Database* primary, std::string name,
-                           SplitPoint split, MountMode mode)
+                           SplitPoint split)
     : primary_(primary),
       name_(std::move(name)),
       split_(split),
-      mode_(mode),
-      rewinder_(primary->log()),
-      locks_(/*timeout_micros=*/30'000'000) {}
+      rewinder_(primary->log()) {}
 
 Result<std::unique_ptr<AsOfSnapshot>> AsOfSnapshot::Create(
     Database* primary, const std::string& name, WallClock as_of) {
-  return Create(primary, name, as_of,
-                primary->options().lazy_mount ? MountMode::kLazy
-                                              : MountMode::kEager);
-}
-
-Result<std::unique_ptr<AsOfSnapshot>> AsOfSnapshot::Create(
-    Database* primary, const std::string& name, WallClock as_of,
-    MountMode mode) {
   Clock* clock = primary->clock();
   WallClock t0 = clock->NowMicros();
 
-  if (mode == MountMode::kEager) {
-    // Creation checkpoint (section 5.1): every page with LSN <=
-    // SplitLSN becomes durable in the primary file, so (a) snapshot
-    // reads of the primary never miss pre-split changes and (b) the
-    // redo pass needs no page IO at all. A lazy mount skips it: reads
-    // go through the primary's buffer pool instead, so the current
-    // image is always visible without forcing IO at mount time.
-    REWIND_RETURN_IF_ERROR(primary->Checkpoint());
-  }
-
+  // The whole mount: split search (waypoint-narrowed) + store setup.
+  // No creation checkpoint: pages are read through the primary's buffer
+  // pool, so the current image is always visible without forcing IO.
   REWIND_ASSIGN_OR_RETURN(
       SplitPoint split,
       FindSplitPoint(primary->log(), as_of, clock->NowMicros()));
 
-  std::unique_ptr<AsOfSnapshot> snap(
-      new AsOfSnapshot(primary, name, split, mode));
-  if (mode == MountMode::kEager) {
-    REWIND_RETURN_IF_ERROR(snap->Recover());
-  } else {
-    // The whole lazy mount: split search (above, waypoint-narrowed) +
-    // store setup. Analysis, the page log index and loser undo belong
-    // to the sweeper; queries recover what they touch meanwhile.
-    snap->mount_end_lsn_ = primary->log()->next_lsn();
-    snap->page_index_ = std::make_unique<PageLogIndex>(split.split_lsn);
-    REWIND_RETURN_IF_ERROR(snap->SetupStorage());
-    snap->stats_.split_lsn = split.split_lsn;
-    snap->stats_.boundary_time = split.boundary_time;
-    snap->stats_.checkpoint_lsn = split.checkpoint_lsn;
-    snap->stats_.lazy = true;
-  }
+  std::unique_ptr<AsOfSnapshot> snap(new AsOfSnapshot(primary, name, split));
+  snap->mount_end_lsn_ = primary->log()->next_lsn();
+  snap->page_index_ = std::make_unique<PageLogIndex>(split.split_lsn);
+  REWIND_RETURN_IF_ERROR(snap->SetupStorage());
+  snap->stats_.split_lsn = split.split_lsn;
+  snap->stats_.boundary_time = split.boundary_time;
+  snap->stats_.checkpoint_lsn = split.checkpoint_lsn;
   primary->RegisterSnapshotAnchor(snap->split_.checkpoint_lsn);
-  primary->BumpLazyMount(mode == MountMode::kLazy);
+  primary->BumpLazyMounts();
   snap->stats_.create_micros = clock->NowMicros() - t0;
 
-  // Open for queries now; undo the in-flight transactions' effects in
-  // the background (section 5.2) -- eagerly for the whole snapshot, or
-  // tree-by-tree behind the sweeper.
-  snap->undo_thread_ = std::thread([s = snap.get()] {
-    if (s->lazy()) {
-      s->SweeperMain();
-    } else {
-      s->BackgroundUndo();
-    }
-  });
+  // Open for queries now. Analysis, the page log index and the undo of
+  // the in-flight transactions' effects (section 5.2) belong to the
+  // sweeper; queries recover what they touch meanwhile.
+  snap->undo_thread_ = std::thread([s = snap.get()] { s->SweeperMain(); });
   return snap;
 }
 
@@ -275,8 +218,7 @@ Status AsOfSnapshot::SetupStorage() {
   REWIND_ASSIGN_OR_RETURN(
       side_, SparseFile::Create(primary_->dir() + "/" + name_ + ".side",
                                 primary_->data_disk(), primary_->stats()));
-  store_ = std::make_unique<SnapshotStore>(primary_->data_file(), side_.get(),
-                                           &rewinder_,
+  store_ = std::make_unique<SnapshotStore>(side_.get(), &rewinder_,
                                            primary_->version_store(),
                                            split_.split_lsn, this);
   buffers_ = std::make_unique<BufferManager>(
@@ -291,12 +233,15 @@ Status AsOfSnapshot::ScanAnalysis(std::unordered_map<TxnId, Lsn>* att) {
   wal::Wal* log = primary_->log();
 
   // Analysis (section 5.2): find transactions in flight at the
-  // SplitLSN. Start one checkpoint earlier than the one preceding the
-  // split so a split landing inside a checkpoint window still sees the
-  // full active-transaction table. The fallback is the oldest byte
-  // EITHER log tier retains: a long-horizon mount whose split lives in
-  // the archive scans archived history through the same cursor.
-  Lsn analysis_start = log->oldest_lsn();
+  // SplitLSN. Like crash recovery, start at the last checkpoint whose
+  // end record precedes the split: its ATT plus the scan is complete.
+  // The scan first tries the checkpoint preceding the split and falls
+  // back one checkpoint when the split lands inside that checkpoint's
+  // window (no end record before the split). The last fallback is the
+  // oldest byte EITHER log tier retains: a long-horizon mount whose
+  // split lives in the archive scans archived history through the same
+  // cursor.
+  std::vector<Lsn> starts;
   {
     std::vector<CheckpointRef> ckpts = log->checkpoints();
     int newest = -1;
@@ -305,204 +250,47 @@ Status AsOfSnapshot::ScanAnalysis(std::unordered_map<TxnId, Lsn>* att) {
         newest = static_cast<int>(i);
       }
     }
-    if (newest > 0) analysis_start = ckpts[newest - 1].begin_lsn;
+    if (newest >= 0) starts.push_back(ckpts[newest].begin_lsn);
+    if (newest > 0) starts.push_back(ckpts[newest - 1].begin_lsn);
   }
+  starts.push_back(log->oldest_lsn());
 
-  std::unordered_set<TxnId> ended;
-  wal::Cursor cur = log->OpenCursor();
-  REWIND_RETURN_IF_ERROR(cur.SeekTo(analysis_start));
-  while (cur.Valid() && cur.lsn() <= split_.split_lsn) {
-    const LogRecord& rec = cur.record();
-    if (rec.type == LogType::kCheckpointEnd) {
-      for (const AttEntry& e : rec.att) {
-        // Never resurrect a transaction whose COMMIT/ABORT the scan
-        // already passed: a commit can land between the checkpoint's
-        // begin record and the end record's ATT capture.
-        if (ended.count(e.txn_id) != 0) continue;
-        if (att->find(e.txn_id) == att->end()) (*att)[e.txn_id] = e.last_lsn;
-      }
-    } else if (rec.txn_id != kInvalidTxnId) {
-      if (rec.type == LogType::kCommit || rec.type == LogType::kAbort) {
-        att->erase(rec.txn_id);
-        ended.insert(rec.txn_id);
-      } else {
-        (*att)[rec.txn_id] = cur.lsn();
-      }
-    }
-    REWIND_RETURN_IF_ERROR(cur.Next());
-  }
-  return Status::OK();
-}
-
-Status AsOfSnapshot::Recover() {
-  wal::Wal* log = primary_->log();
-  REWIND_RETURN_IF_ERROR(SetupStorage());
-
-  Clock* clock = primary_->clock();
-  uint64_t t_analysis = clock->NowMicros();
-  std::unordered_map<TxnId, Lsn> att;
-  REWIND_RETURN_IF_ERROR(ScanAnalysis(&att));
-  stats_.analysis_micros = clock->NowMicros() - t_analysis;
-
-  // Lock re-acquisition: walk each loser's chain and take X locks on
-  // every row it touched, so queries cannot observe uncommitted
-  // effects before the background undo erases them. This is the
-  // redo-stage work of snapshot recovery -- page redo itself needs no
-  // IO because the creation checkpoint flushed everything (section
-  // 5.2), so what remains of "redo" is rebuilding the lock table.
-  uint64_t t_redo = clock->NowMicros();
-  wal::Cursor chain = log->OpenCursor();
-  for (const auto& [txn_id, last_lsn] : att) {
-    REWIND_RETURN_IF_ERROR(chain.SeekToChain(last_lsn));
-    // A checkpoint ATT written by an older build can list a decided
-    // transaction whose completion record predates the analysis window
-    // (captured during its durability wait). Its chain head is then the
-    // COMMIT/ABORT record itself: not a loser, nothing to undo.
-    if (chain.Valid() && (chain.record().type == LogType::kCommit ||
-                          chain.record().type == LogType::kAbort)) {
-      continue;
-    }
-    losers_.push_back({txn_id, last_lsn});
-    while (chain.Valid()) {
-      const LogRecord& rec = chain.record();
-      LogType op = rec.type == LogType::kClr ? rec.clr_op : rec.type;
-      if ((op == LogType::kInsert || op == LogType::kDelete ||
-           op == LogType::kUpdate) &&
-          !rec.image.empty()) {
-        std::string key = SlottedPage::EntryKey(rec.image).ToString();
-        locks_.GrantForRecovery(txn_id, RowLockKey(rec.tree_id, key),
-                                LockMode::kExclusive);
-        stats_.locks_reacquired++;
-      }
-      if (rec.type == LogType::kBegin) break;
-      if (rec.type == LogType::kClr) {
-        REWIND_RETURN_IF_ERROR(chain.FollowUndoNext());
-      } else {
-        REWIND_RETURN_IF_ERROR(chain.FollowPrev());
-      }
-    }
-  }
-  stats_.redo_micros = clock->NowMicros() - t_redo;
-  stats_.split_lsn = split_.split_lsn;
-  stats_.boundary_time = split_.boundary_time;
-  stats_.checkpoint_lsn = split_.checkpoint_lsn;
-  stats_.loser_transactions = losers_.size();
-  return Status::OK();
-}
-
-void AsOfSnapshot::BackgroundUndo() {
-  Clock* clock = primary_->clock();
-  uint64_t t0 = clock->NowMicros();
-  int threads = primary_->options().replay_threads;
-  if (threads < 1) threads = 1;
-  stats_.replay_threads = threads;
-
-  Status status;
-  if (threads == 1) {
-    status = BackgroundUndoSerial();
-  } else {
-    // Partition by loser transaction: a chain walk is sequential, but
-    // different losers' effects are disjoint (user rows by two-phase
-    // locking, an in-flight SMO's pages by the tree latch it held).
-    // System losers go first, serially: their structural changes must
-    // be reverted before by-key user undo re-traverses the tree, and
-    // every loser user record on that tree predates the SMO.
-    std::vector<AttEntry> system_losers;
-    std::vector<AttEntry> user_losers;
-    wal::Cursor classify = primary_->log()->OpenCursor();
-    for (const AttEntry& e : losers_) {
-      status = classify.SeekToChain(e.last_lsn);
-      if (!status.ok()) break;
-      if (classify.record().is_system) {
-        system_losers.push_back(e);
-      } else {
-        user_losers.push_back(e);
-      }
-    }
-    if (status.ok()) {
-      for (const AttEntry& e : system_losers) {
-        status = UndoLoserChain(e);
-        if (!status.ok()) break;
-      }
-    }
-    if (status.ok()) {
-      status = replay::ParallelFor(
-          threads, user_losers.size(),
-          [&](size_t i) { return UndoLoserChain(user_losers[i]); });
-    }
-  }
-  // Persist undone pages so later side-file reads see them even after
-  // buffer-pool eviction.
-  if (status.ok()) status = buffers_->FlushAll();
-  {
-    std::lock_guard<std::mutex> sg(stats_mu_);
-    stats_.undo_micros = clock->NowMicros() - t0;
-  }
-  undo_status_ = status;
-  // Release any remaining locks (error path) so queries do not hang.
-  for (const AttEntry& e : losers_) locks_.ReleaseAll(e.txn_id);
-  undo_complete_.store(true);
-}
-
-Status AsOfSnapshot::BackgroundUndoSerial() {
-  wal::Cursor reader = primary_->log()->OpenCursor();
-  std::unordered_map<TxnId, Lsn> cursor;
-  for (const AttEntry& e : losers_) cursor[e.txn_id] = e.last_lsn;
-
-  Status status;
-  while (!cursor.empty() && status.ok()) {
-    TxnId victim = 0;
-    Lsn max_lsn = 0;
-    for (const auto& [id, lsn] : cursor) {
-      if (lsn >= max_lsn) {
-        max_lsn = lsn;
-        victim = id;
-      }
-    }
-    if (max_lsn == kInvalidLsn) break;
-    status = reader.SeekToChain(max_lsn);
-    if (!status.ok()) break;
-    const LogRecord& rec = reader.record();
-    if (rec.type == LogType::kClr) {
-      cursor[victim] = rec.undo_next_lsn;
-    } else if (rec.type == LogType::kBegin) {
-      cursor[victim] = kInvalidLsn;
-    } else if (rec.IsPageRecord()) {
-      // Undo on the snapshot's copy of the page: fetched through the
-      // rewind path, modified in place, persisted to the side file --
-      // never logged (the snapshot is not a database of record).
-      const bool row_op = rec.type == LogType::kInsert ||
-                          rec.type == LogType::kDelete ||
-                          rec.type == LogType::kUpdate;
-      if (row_op && !rec.is_system) {
-        // User rows may have moved under committed SMOs: undo by key.
-        status = UndoUserRowUnlogged(rec);
-      } else {
-        // System-transaction records: nothing else touched their pages
-        // between the record and the split, so slot-exact undo is safe.
-        std::unique_lock<std::shared_mutex> tl(*TreeLatch(rec.tree_id));
-        auto page = buffers_->FetchPage(rec.page_id, AccessMode::kWrite);
-        if (!page.ok()) {
-          status = page.status();
-          break;
+  for (size_t attempt = 0; attempt < starts.size(); attempt++) {
+    const bool last = attempt + 1 == starts.size();
+    att->clear();
+    std::unordered_set<TxnId> ended;
+    bool saw_checkpoint_end = false;
+    wal::Cursor cur = log->OpenCursor();
+    REWIND_RETURN_IF_ERROR(cur.SeekTo(starts[attempt]));
+    while (cur.Valid() && cur.lsn() <= split_.split_lsn) {
+      const LogRecord& rec = cur.record();
+      if (rec.type == LogType::kCheckpointEnd) {
+        saw_checkpoint_end = true;
+        for (const AttEntry& e : rec.att) {
+          // Never resurrect a transaction whose COMMIT/ABORT the scan
+          // already passed: a commit can land between the checkpoint's
+          // begin record and the end record's ATT capture.
+          if (ended.count(e.txn_id) != 0) continue;
+          if (att->find(e.txn_id) == att->end()) {
+            (*att)[e.txn_id] = e.last_lsn;
+          }
         }
-        status = ApplyUndo(page->mutable_data(), rec);
-        if (status.ok()) page->MarkDirtyUnlogged();
+      } else if (rec.txn_id != kInvalidTxnId) {
+        if (rec.type == LogType::kCommit || rec.type == LogType::kAbort) {
+          att->erase(rec.txn_id);
+          ended.insert(rec.txn_id);
+        } else {
+          (*att)[rec.txn_id] = cur.lsn();
+        }
       }
-      if (!status.ok()) break;
-      cursor[victim] = rec.prev_lsn;
-    } else {
-      cursor[victim] = rec.prev_lsn;
+      REWIND_RETURN_IF_ERROR(cur.Next());
     }
-    if (cursor[victim] == kInvalidLsn) {
-      locks_.ReleaseAll(victim);
-      cursor.erase(victim);
-    }
+    if (saw_checkpoint_end || last) break;
   }
-  return status;
+  return Status::OK();
 }
 
-// ------------------------- lazy-mount sweeper --------------------------
+// ------------------------------ sweeper -------------------------------
 
 void AsOfSnapshot::SweeperMain() {
   Clock* clock = primary_->clock();
@@ -521,10 +309,21 @@ void AsOfSnapshot::SweeperMain() {
   }
   trees_cv_.notify_all();
 
-  if (s.ok()) {
-    // Per-page chain index over (split, mount_end]. A failed build is
-    // tolerated: the index only ever serves positive hits, so a partial
-    // index is sound and readers fall back to current-image rewinds.
+  // Bound the next mount's analysis, which starts at the last
+  // checkpoint before its split: without a checkpoint cadence that is
+  // the start of the log. A fuzzy checkpoint writes its begin/end
+  // records and flushes only pages dirty since before the previous
+  // one. Best effort, like the byte-triggered checkpoints.
+  if (s.ok()) (void)primary_->FuzzyCheckpoint();
+
+  // Per-page chain index over (split, mount_end]. Its hits are page
+  // images, so without periodic FPIs it could seed only pages formatted
+  // after the split, while its scan of the whole post-split log would
+  // compete with the queries it is meant to speed up: skip it then. A
+  // failed build is tolerated: the index only ever serves positive
+  // hits, so a partial index is sound and readers fall back to
+  // current-image rewinds.
+  if (s.ok() && primary_->options().fpi_period > 0) {
     uint64_t t_index = clock->NowMicros();
     Status bs = page_index_->Build(primary_->log(), mount_end_lsn_, clock);
     (void)bs;
@@ -534,7 +333,7 @@ void AsOfSnapshot::SweeperMain() {
 
   if (s.ok()) {
     // Complete every tree's loser undo so a long-lived mount converges
-    // to the eager end state even for trees no query ever touches.
+    // even for trees no query ever touches.
     // A tree that fails stays kPending (progress kept) and does not
     // stop the sweep of the others.
     std::vector<TreeId> trees;
@@ -564,13 +363,13 @@ Status AsOfSnapshot::SweeperAnalysis() {
   REWIND_RETURN_IF_ERROR(ScanAnalysis(&att));
 
   // Per-tree worklists: each loser chain's page records bucketed by
-  // tree, applied later in descending-LSN order -- the serial eager
-  // undo order restricted to the tree, which is what makes lazy pages
-  // byte-identical to eager ones. No lock reacquisition here: a tree's
-  // first query waits on EnsureTreeRecovered instead of on row locks.
-  // CLRs are followed through undo_next (their compensated region is
-  // already undone in the log, exactly as eager undo skips it); decided
-  // chain heads from old-build checkpoint ATTs are dropped.
+  // tree, applied later in descending-LSN order -- the whole-log undo
+  // order restricted to the tree, so a tree's pages come out the same
+  // whether the sweeper or a query recovers it. No lock reacquisition:
+  // a tree's first query waits on EnsureTreeRecovered instead of on
+  // row locks. CLRs are followed through undo_next (their compensated
+  // region is already undone in the log); decided chain heads from
+  // old-build checkpoint ATTs are dropped.
   std::map<TreeId, TreeRecovery> work;
   wal::Cursor chain = primary_->log()->OpenCursor();
   size_t losers = 0;
@@ -612,7 +411,6 @@ Status AsOfSnapshot::SweeperAnalysis() {
 }
 
 Status AsOfSnapshot::EnsureTreeRecovered(TreeId tree) {
-  if (!lazy()) return Status::OK();
   return EnsureTreeRecoveredImpl(tree, /*on_demand=*/true);
 }
 
@@ -694,40 +492,6 @@ Status AsOfSnapshot::CheckRecoveryFault(RecoveryFaultPoint point,
 void AsOfSnapshot::NotePageRecovered(bool via_fpi_index) {
   pages_recovered_.fetch_add(1, std::memory_order_relaxed);
   primary_->BumpPagesRecoveredOnDemand(via_fpi_index);
-}
-
-Status AsOfSnapshot::UndoLoserChain(const AttEntry& loser) {
-  wal::Cursor reader = primary_->log()->OpenCursor();
-  Lsn next = loser.last_lsn;
-  while (next != kInvalidLsn) {
-    REWIND_RETURN_IF_ERROR(reader.SeekToChain(next));
-    if (!reader.Valid()) break;  // empty chain head
-    const LogRecord& rec = reader.record();
-    if (rec.type == LogType::kClr) {
-      next = rec.undo_next_lsn;
-      continue;
-    }
-    if (rec.type == LogType::kBegin) break;
-    if (rec.IsPageRecord()) {
-      const bool row_op = rec.type == LogType::kInsert ||
-                          rec.type == LogType::kDelete ||
-                          rec.type == LogType::kUpdate;
-      if (row_op && !rec.is_system) {
-        REWIND_RETURN_IF_ERROR(UndoUserRowUnlogged(rec));
-      } else {
-        std::unique_lock<std::shared_mutex> tl(*TreeLatch(rec.tree_id));
-        REWIND_ASSIGN_OR_RETURN(
-            PageGuard page,
-            buffers_->FetchPage(rec.page_id, AccessMode::kWrite));
-        REWIND_RETURN_IF_ERROR(ApplyUndo(page.mutable_data(), rec));
-        page.MarkDirtyUnlogged();
-      }
-    }
-    next = rec.prev_lsn;
-  }
-  // This loser's effects are gone: let queries through its rows now.
-  locks_.ReleaseAll(loser.txn_id);
-  return Status::OK();
 }
 
 Status AsOfSnapshot::UndoUserRowUnlogged(const LogRecord& rec) {
@@ -925,21 +689,6 @@ std::shared_mutex* AsOfSnapshot::TreeLatch(TreeId tree) {
   auto& slot = tree_latches_[tree];
   if (slot == nullptr) slot = std::make_unique<std::shared_mutex>();
   return slot.get();
-}
-
-bool AsOfSnapshot::RowBusy(TreeId tree, const std::string& key) {
-  return locks_.IsHeldExclusive(RowLockKey(tree, key));
-}
-
-Status AsOfSnapshot::WaitRowVisible(TreeId tree, const std::string& key) {
-  if (undo_complete_.load()) return Status::OK();
-  TxnId qid = query_ids_++;
-  Status s = locks_.Acquire(qid, RowLockKey(tree, key), LockMode::kShared);
-  locks_.ReleaseAll(qid);
-  if (s.IsAborted()) {
-    return Status::Busy("snapshot background undo is still running");
-  }
-  return s;
 }
 
 Result<SnapshotTable> AsOfSnapshot::OpenTable(const std::string& name) {

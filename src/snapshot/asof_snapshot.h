@@ -5,24 +5,25 @@
 // retention period. It is built from three pieces:
 //
 //  * SnapshotStore -- a PageStore whose read path implements the
-//    section 5.3 protocol: side file hit -> return; miss -> read the
-//    page from the PRIMARY's data file, PreparePageAsOf(page, SplitLSN),
-//    cache the rewound page in the sparse side file. Keeping this below
-//    the snapshot's buffer pool leaves the B-tree, catalog and queries
-//    entirely oblivious to time travel.
+//    section 5.3 protocol: side file hit -> return; miss -> take the
+//    page's current image (or an indexed post-split page image),
+//    PreparePageAsOf(page, SplitLSN), cache the rewound page in the
+//    sparse side file. Keeping this below the snapshot's buffer pool
+//    leaves the B-tree, catalog and queries entirely oblivious to time
+//    travel.
 //
-//  * Snapshot recovery (section 5.2) -- analysis scans the log between
-//    the checkpoint preceding the SplitLSN and the SplitLSN to find
-//    transactions in flight at that point; their row locks are
-//    re-acquired (redo itself needs no page reads because snapshot
-//    creation checkpoints the primary first); then a BACKGROUND thread
-//    undoes the in-flight transactions' effects on snapshot pages while
-//    queries are already allowed.
+//  * Snapshot recovery (section 5.2), on demand -- Create records only
+//    the SplitLSN and returns. A background sweeper then runs analysis
+//    (the transactions in flight at the split), builds the per-page log
+//    index and undoes those losers tree by tree, while queries recover
+//    exactly what they touch: each page is rewound on first access and
+//    each TREE's loser records are undone before its first query (by
+//    key -- per-page loser undo would be unsound because committed
+//    structure modifications move in-flight rows between pages).
 //
-//  * SnapshotTable -- read-only typed access mirroring Table, with the
-//    lock coordination that makes pre-undo-completion queries correct:
-//    a row held by an in-flight transaction blocks readers until the
-//    background undo has erased it.
+//  * SnapshotTable -- read-only typed access mirroring Table. Its reads
+//    need no row locks: a tree is free of loser effects before the
+//    first read of it returns.
 //
 // DEPRECATED as an application surface: applications should reach the
 // past through Connection::AsOf / Connection::Snapshot, which return
@@ -58,23 +59,7 @@ namespace rewinddb {
 
 class AsOfSnapshot;
 
-/// How a snapshot is brought up (DatabaseOptions::lazy_mount picks the
-/// default; SET MOUNT_MODE overrides per session).
-///
-///  * kEager -- the section 5.1/5.2 pipeline: creation checkpoint,
-///    inline analysis + loser-lock reacquisition, background undo of
-///    every loser. Create cost grows with log-since-checkpoint.
-///  * kLazy -- create records only the SplitLSN (waypoint-narrowed
-///    search) and returns; a background sweeper runs analysis, builds
-///    the per-page log index and completes loser undo, while queries
-///    recover exactly what they touch: each page is rewound on first
-///    access and each TREE's loser records are undone before its first
-///    query (by key, below -- per-page loser undo would be unsound
-///    because committed structure modifications move in-flight rows
-///    between pages). Both modes produce byte-identical pages.
-enum class MountMode { kEager, kLazy };
-
-/// Test-only fault injection into the lazy page-recovery path. The
+/// Test-only fault injection into the page-recovery path. The
 /// argument is the page id (kIndexLookup / kRewindRead) or the tree id
 /// (kUndoApply). Returning !ok() makes the recovery step fail exactly
 /// as a real IO error there would.
@@ -89,23 +74,20 @@ using RecoveryFaultHook = std::function<Status(RecoveryFaultPoint, uint64_t)>;
 /// store, so concurrent snapshots at nearby times share undo work.
 class SnapshotStore : public PageStore {
  public:
-  /// `versions` may be null (engine without a version store). `owner`
-  /// may be null (tests building a bare store); without it the store
-  /// always takes the eager path: primary FILE read + full rewind. With
-  /// a lazily mounted owner, a miss instead reads the CURRENT page
-  /// image through the primary's buffer pool (sound: page LSNs are
-  /// stamped only after the record is published, and the WAL tail is
-  /// cursor-readable, so the rewinder can always walk back from the
-  /// live image) -- or enters the chain directly at an indexed
-  /// post-split page image, skipping the post-split churn entirely.
-  SnapshotStore(PagedFile* primary, SparseFile* side, PageRewinder* rewinder,
-                VersionStore* versions, Lsn split_lsn,
-                AsOfSnapshot* owner = nullptr)
-      : primary_(primary), side_(side), rewinder_(rewinder),
-        versions_(versions), split_lsn_(split_lsn), owner_(owner) {}
+  /// `versions` may be null (engine without a version store). A miss
+  /// reads the CURRENT page image through the primary's buffer pool
+  /// (sound: page LSNs are stamped only after the record is published,
+  /// and the WAL tail is cursor-readable, so the rewinder can always
+  /// walk back from the live image) -- or enters the chain directly at
+  /// an indexed post-split page image of `owner`'s page log index,
+  /// skipping the post-split churn entirely.
+  SnapshotStore(SparseFile* side, PageRewinder* rewinder,
+                VersionStore* versions, Lsn split_lsn, AsOfSnapshot* owner)
+      : side_(side), rewinder_(rewinder), versions_(versions),
+        split_lsn_(split_lsn), owner_(owner) {}
 
   Status ReadPage(PageId id, char* buf) override;
-  /// Writes (from the snapshot's buffer pool: background-undo results,
+  /// Writes (from the snapshot's buffer pool: loser-undo results,
   /// eviction of rewound pages) always land in the side file -- never
   /// in the version store, which holds only physical rewind results
   /// valid for any snapshot, not this snapshot's private loser-undo.
@@ -118,7 +100,6 @@ class SnapshotStore : public PageStore {
   /// the side file ever seeing a partial page.
   Status RecoverPage(PageId id, char* buf);
 
-  PagedFile* primary_;
   SparseFile* side_;
   PageRewinder* rewinder_;
   VersionStore* versions_;
@@ -156,36 +137,23 @@ class SnapshotTable {
 /// A queryable as-of replica of a primary database.
 class AsOfSnapshot {
  public:
+  /// Mount-phase breakdown, all charged to the primary's clock (so
+  /// simulated micros under a SimClock). Every field but the split
+  /// point and create_micros is written by the background sweeper:
+  /// read it after WaitForUndo().
   struct CreationStats {
     Lsn split_lsn = kInvalidLsn;
     WallClock boundary_time = 0;
     Lsn checkpoint_lsn = kInvalidLsn;
     /// In-flight transactions at the SplitLSN (undone in background).
     size_t loser_transactions = 0;
-    /// Row locks re-acquired during the redo pass.
-    size_t locks_reacquired = 0;
-    /// Simulated+real microseconds spent creating the snapshot
-    /// (checkpoint + SplitLSN search + analysis).
+    /// Split search + store setup: the O(1) mount claim fig9 measures.
     uint64_t create_micros = 0;
-    // Mount-phase breakdown (all charged to the primary's clock, so
-    // simulated micros under a SimClock):
-    /// Analysis scan (checkpoint before the split -> SplitLSN).
+    /// Analysis scan (last checkpoint before the split -> SplitLSN).
     uint64_t analysis_micros = 0;
-    /// The redo-stage work: loser lock re-acquisition (page redo needs
-    /// no IO -- the creation checkpoint already flushed everything).
-    uint64_t redo_micros = 0;
-    /// Background undo of in-flight transactions. Written by the undo
-    /// thread; read it only after WaitForUndo().
+    /// The whole sweep: analysis, index build and loser undo.
     uint64_t undo_micros = 0;
-    /// Worker count the background undo ran with.
-    int replay_threads = 1;
-    /// Mount mode this snapshot was created with. Under kLazy,
-    /// analysis_micros and undo_micros are the SWEEPER's background
-    /// cost (read after WaitForUndo); create_micros covers only the
-    /// split search + store setup -- the O(1) mount claim fig9
-    /// measures.
-    bool lazy = false;
-    /// Per-page log index build time (lazy only; background).
+    /// Per-page log index build time.
     uint64_t index_build_micros = 0;
   };
 
@@ -194,40 +162,29 @@ class AsOfSnapshot {
   AsOfSnapshot& operator=(const AsOfSnapshot&) = delete;
 
   /// CREATE DATABASE <name> AS SNAPSHOT OF <primary> AS OF <as_of>.
-  /// Eager: opens for queries as soon as analysis/redo complete; the
-  /// undo of in-flight transactions proceeds in the background. Lazy:
-  /// opens immediately after the split search; analysis, the page log
+  /// Opens immediately after the split search; analysis, the page log
   /// index and loser undo proceed in the background, and queries
-  /// recover what they touch. Mode defaults to the primary's
-  /// DatabaseOptions::lazy_mount.
+  /// recover what they touch.
   static Result<std::unique_ptr<AsOfSnapshot>> Create(Database* primary,
                                                       const std::string& name,
                                                       WallClock as_of);
-  static Result<std::unique_ptr<AsOfSnapshot>> Create(Database* primary,
-                                                      const std::string& name,
-                                                      WallClock as_of,
-                                                      MountMode mode);
 
   /// Query-surface: tables and metadata resolve through the snapshot's
   /// own (rewound) catalog pages.
   Result<SnapshotTable> OpenTable(const std::string& name);
   Result<std::vector<TableInfo>> ListTables();
 
-  /// Block until the background undo pass finishes. Safe to call from
+  /// Block until the background sweep finishes. Safe to call from
   /// several ReadView handles concurrently.
   Status WaitForUndo();
   bool undo_complete() const { return undo_complete_.load(); }
 
   /// Per-tree reader/writer latch (mirrors Database::TreeLatch).
   std::shared_mutex* TreeLatch(TreeId tree);
-  /// Wait until the row is free of in-flight-transaction locks (no-op
-  /// once undo completed).
-  Status WaitRowVisible(TreeId tree, const std::string& key);
-  bool RowBusy(TreeId tree, const std::string& key);
 
   /// Returns a consistent copy. Timing/loser fields filled by the
-  /// background undo thread (eager) or sweeper (lazy) settle only
-  /// after WaitForUndo(); reading earlier is safe but may see zeros.
+  /// sweeper settle only after WaitForUndo(); reading earlier is safe
+  /// but may see zeros.
   CreationStats creation_stats() const {
     std::lock_guard<std::mutex> g(stats_mu_);
     return stats_;
@@ -239,19 +196,19 @@ class AsOfSnapshot {
   SparseFile* side_file() { return side_.get(); }
   Database* primary() { return primary_; }
 
-  // ------------------------- lazy-mount surface ----------------------
-  bool lazy() const { return mode_ == MountMode::kLazy; }
-  /// The mount's per-page chain index (lazy only; null under kEager).
+  // ----------------------- on-demand recovery ------------------------
+  /// The mount's per-page chain index (built by the sweeper when the
+  /// engine logs periodic page images; empty otherwise).
   PageLogIndex* page_log_index() { return page_index_.get(); }
   /// Block until this tree's loser records are undone on the
-  /// snapshot's pages (no-op under kEager, and for trees no loser
-  /// touched). Called by the query surface before it reads a tree;
-  /// also driven tree-by-tree by the background sweeper. Idempotent,
-  /// safe from many threads; on failure the tree stays pending and a
-  /// later call RESUMES where the failed one stopped, so an injected
-  /// fault never poisons the tree.
+  /// snapshot's pages (no-op for trees no loser touched). Called by
+  /// the query surface before it reads a tree; also driven
+  /// tree-by-tree by the background sweeper. Idempotent, safe from
+  /// many threads; on failure the tree stays pending and a later call
+  /// RESUMES where the failed one stopped, so an injected fault never
+  /// poisons the tree.
   Status EnsureTreeRecovered(TreeId tree);
-  /// Pages this snapshot recovered on first access (lazy).
+  /// Pages this snapshot recovered on first access.
   uint64_t pages_recovered_on_demand() const {
     return pages_recovered_.load(std::memory_order_relaxed);
   }
@@ -267,20 +224,18 @@ class AsOfSnapshot {
   Status Drop();
 
  private:
-  AsOfSnapshot(Database* primary, std::string name, SplitPoint split,
-               MountMode mode);
+  AsOfSnapshot(Database* primary, std::string name, SplitPoint split);
 
-  /// Side file + store + buffer pool + catalog (both modes).
+  /// Side file + store + buffer pool + catalog.
   Status SetupStorage();
-  /// Analysis: scan [checkpoint before the ckpt preceding the split ->
-  /// split] and return the in-flight transactions (ATT) at the split.
+  /// Analysis: scan [last checkpoint whose end record precedes the
+  /// split -> split] and return the in-flight transactions (ATT) at the
+  /// split.
   Status ScanAnalysis(std::unordered_map<TxnId, Lsn>* att);
-  Status Recover();
-  void BackgroundUndo();
-  /// Lazy-mount background thread: analysis -> per-tree loser
-  /// worklists -> page log index build -> per-tree undo completion.
+  /// Background thread: analysis -> per-tree loser worklists -> fuzzy
+  /// checkpoint -> page log index build -> per-tree undo completion.
   void SweeperMain();
-  /// Analysis + loser chain walks building tree_work_ (lazy; no lock
+  /// Analysis + loser chain walks building tree_work_ (no lock
   /// reacquisition -- a tree's first query waits on EnsureTreeRecovered
   /// instead of on row locks).
   Status SweeperAnalysis();
@@ -292,14 +247,6 @@ class AsOfSnapshot {
   /// `on_demand` marks query-triggered (vs sweeper-driven) completion
   /// for the stats counters.
   Status EnsureTreeRecoveredImpl(TreeId tree, bool on_demand);
-  /// The serial (replay_threads == 1) undo walk: all losers
-  /// interleaved, globally largest next-LSN first (the pre-parallel
-  /// path, kept as the degenerate case).
-  Status BackgroundUndoSerial();
-  /// Undo one loser transaction's whole chain on the snapshot's pages,
-  /// then release its re-acquired row locks. Thread-safe: row undo and
-  /// physical undo both latch the record's tree.
-  Status UndoLoserChain(const AttEntry& loser);
   /// Unlogged logical undo of a user row record on the snapshot's
   /// pages: locate the row by key (it may have moved under committed
   /// structure modifications before the split) and apply the inverse
@@ -311,7 +258,6 @@ class AsOfSnapshot {
   Database* primary_;
   std::string name_;
   SplitPoint split_;
-  const MountMode mode_;
   /// Log end at mount time: upper bound of the page log index's build
   /// scan (records past it belong to the primary's future, which the
   /// per-page rewind handles without the index).
@@ -323,16 +269,11 @@ class AsOfSnapshot {
   std::unique_ptr<SnapshotStore> store_;
   std::unique_ptr<BufferManager> buffers_;
   std::unique_ptr<Catalog> catalog_;
-  LockManager locks_;  // loser locks + query coordination
-
-  /// Losers: txn id -> last LSN at the split point.
-  std::vector<AttEntry> losers_;
 
   std::thread undo_thread_;
   std::mutex undo_join_mu_;
   std::atomic<bool> undo_complete_{false};
   Status undo_status_;
-  std::atomic<uint64_t> query_ids_{1ULL << 62};
   /// Page ids for snapshot-private pages created by unlogged splits;
   /// they live only in the side file, far above any primary page id.
   std::atomic<PageId> virtual_next_page_{3'000'000'000u};
@@ -340,16 +281,16 @@ class AsOfSnapshot {
   std::mutex tree_latches_mu_;
   std::map<TreeId, std::unique_ptr<std::shared_mutex>> tree_latches_;
 
-  // Lazy per-tree recovery state. trees_mu_ guards the map shape and
+  // Per-tree recovery state. trees_mu_ guards the map shape and
   // every TreeRecovery's state field; a tree's worklist and progress
   // cursor are touched only by the thread holding its kRunning claim
   // (publication happens-before via trees_mu_).
   struct TreeRecovery {
     enum class State { kPending, kRunning, kDone };
     State state = State::kPending;
-    /// This tree's loser page-record LSNs, descending (the serial
-    /// eager undo order restricted to the tree -- what makes lazy
-    /// pages byte-identical to eager ones).
+    /// This tree's loser page-record LSNs, descending (the whole-log
+    /// undo order restricted to the tree -- what makes a tree's pages
+    /// the same whether the sweeper or a query recovers it).
     std::vector<Lsn> work;
     /// Progress cursor: records [0, applied) are already undone, so a
     /// retry after a failure resumes instead of double-applying.
@@ -357,7 +298,7 @@ class AsOfSnapshot {
   };
   std::mutex trees_mu_;
   std::condition_variable trees_cv_;
-  bool analysis_ready_ = false;  // also true under kEager (vacuously)
+  bool analysis_ready_ = false;
   Status analysis_status_;
   std::map<TreeId, TreeRecovery> tree_work_;
 
@@ -365,7 +306,7 @@ class AsOfSnapshot {
   RecoveryFaultHook fault_hook_;
   std::atomic<uint64_t> pages_recovered_{0};
 
-  /// Leaf mutex: the sweeper / background undo thread updates stats_
+  /// Leaf mutex: the sweeper updates stats_
   /// while the mount is already visible to readers, so every write
   /// from those threads and every read through creation_stats() takes
   /// it. Never held across any other lock.

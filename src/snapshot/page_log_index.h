@@ -1,7 +1,7 @@
-// Per-page log index for lazy AS OF mounts (ROADMAP item 3, following
-// the REDO-only / single-page-repair line of Sauer & Haerder).
+// Per-page log index for AS OF mounts (following the REDO-only /
+// single-page-repair line of Sauer & Haerder).
 //
-// A lazy mount recovers each page on first access by rewinding it from
+// A mount recovers each page on first access by rewinding it from
 // a current image back to the SplitLSN. Without help, that walk starts
 // at the page's NEWEST modification and undoes every record between
 // "now" and the split -- work proportional to post-split churn, none of

@@ -43,8 +43,8 @@ Result<SplitPoint> FindSplitPoint(wal::Wal* log, WallClock target,
   // when checkpoints are rare (a mount soon after a long checkpoint-free
   // run). Waypoints are sampled every few hundred KiB of commits, so
   // jumping to the newest waypoint at or before the target bounds the
-  // commit scan by the sampling spacing instead -- what keeps the
-  // lazy-mount create O(1) in log-since-backup. A waypoint's record IS
+  // commit scan by the sampling spacing instead -- what keeps a
+  // mount's create O(1) in log-since-backup. A waypoint's record IS
   // a commit with wall_clock <= target, so a waypoint-started scan
   // always finds a split and never weakens the no-commit fallback
   // below.

@@ -270,19 +270,6 @@ class Parser {
   }
 
   Result<SqlCommand> SetOption() {
-    if (Accept("MOUNT_MODE")) {
-      SqlCommand cmd;
-      cmd.kind = SqlCommand::Kind::kSetMountMode;
-      if (!AcceptPunct('=')) return Err("expected = after MOUNT_MODE");
-      if (Accept("LAZY")) {
-        cmd.lazy_mount = true;
-      } else if (Accept("EAGER")) {
-        cmd.lazy_mount = false;
-      } else {
-        return Err("expected LAZY or EAGER");
-      }
-      return cmd;
-    }
     SqlCommand cmd;
     cmd.kind = SqlCommand::Kind::kSetCommitMode;
     REWIND_RETURN_IF_ERROR(Expect("COMMIT_MODE"));

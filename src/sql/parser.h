@@ -51,9 +51,6 @@ struct SqlCommand {
     kDropTable,
     kFlashback,
     kSetCommitMode,
-    /// SET MOUNT_MODE = LAZY | EAGER: how this session's CREATE
-    /// DATABASE ... AS SNAPSHOT OF / AS OF views are mounted.
-    kSetMountMode,
     /// CHECKPOINT: take a fuzzy checkpoint now (bounds crash-recovery
     /// analysis; with the archive tier on, also archives + trims the
     /// active log).
@@ -84,8 +81,6 @@ struct SqlCommand {
   TxnId txn_id = kInvalidTxnId;
   /// SET COMMIT_MODE value.
   CommitMode commit_mode = CommitMode::kGroup;
-  /// SET MOUNT_MODE value (true = LAZY).
-  bool lazy_mount = false;
   /// CREATE TABLE schema.
   Schema schema;
   /// CREATE INDEX column list.

@@ -78,12 +78,6 @@ Result<SqlResult> SqlSession::ExecuteStatement(const std::string& sql) {
                     CommitModeName(cmd.commit_mode);
       return out;
     }
-    case SqlCommand::Kind::kSetMountMode: {
-      conn_->SetLazyMounts(cmd.lazy_mount);
-      out.message = std::string("Mount mode set to ") +
-                    (cmd.lazy_mount ? "LAZY" : "EAGER");
-      return out;
-    }
     case SqlCommand::Kind::kCheckpoint: {
       Status s = conn_->FuzzyCheckpoint();
       if (!s.ok()) return WithStatement(s, sql);
@@ -220,7 +214,6 @@ SqlResult SqlSession::ShowStats() {
 
   LazyMountCounters lm = conn_->LazyMountStats();
   add("lazy_mount.lazy_mounts", lm.lazy_mounts);
-  add("lazy_mount.eager_mounts", lm.eager_mounts);
   add("lazy_mount.pages_recovered_on_demand", lm.pages_recovered_on_demand);
   add("lazy_mount.fpi_index_hits", lm.fpi_index_hits);
   add("lazy_mount.trees_recovered_on_demand", lm.trees_recovered_on_demand);

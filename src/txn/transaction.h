@@ -126,9 +126,9 @@ class TransactionManager {
 
 /// Drive the rollback of one transaction chain: walks prevLSN from
 /// `from_lsn` with a wal::Cursor, calling `applier` for undoable
-/// records and honouring CLR undo_next jumps. Shared by runtime abort,
-/// crash-recovery undo and snapshot background undo (which is what
-/// makes the paper's "single mechanism" point concrete).
+/// records and honouring CLR undo_next jumps. Shared by runtime abort
+/// and crash-recovery undo (which is what makes the paper's "single
+/// mechanism" point concrete).
 Status RollbackChain(wal::Wal* wal, Transaction* txn, Lsn from_lsn,
                      UndoApplier* applier);
 

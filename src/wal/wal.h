@@ -115,7 +115,7 @@ class Writer;
 /// Sparse (wall_clock, lsn) marker fed from commit records: the
 /// SplitLSN search narrows its commit scan with these, so translating
 /// an AS OF time into an LSN stays O(waypoint spacing) even when
-/// checkpoints are rare (the lazy-mount O(1) create path depends on
+/// checkpoints are rare (the O(1) mount create path depends on
 /// this). In-memory only: after a restart the table repopulates from
 /// new commits and from archive sealing; until then the search falls
 /// back to checkpoint narrowing, which is correct but coarser.

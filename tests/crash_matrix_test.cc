@@ -135,7 +135,6 @@ class CrashMatrixTest
     o.archive_dir = archive() ? dir + "/archive" : "";
     o.archive_segment_bytes = 64 * 1024;
     o.replay_threads = threads;
-    o.lazy_mount = false;
     return o;
   }
 

@@ -1,11 +1,16 @@
-// Lazy-vs-eager mount equivalence (the PR-8 oracle): a lazily mounted
-// AS OF snapshot must be indistinguishable from an eagerly mounted one
-// -- byte-identical page images under a quiesced primary, identical SQL
-// results across every executor plan shape, identical handling of
-// losers straddling the SplitLSN, under concurrent first-touch races
-// and after the background sweeper completes. Plus fault injection at
-// each page-recovery boundary: a failed recovery surfaces a Status
-// without poisoning other pages or leaking partial side-file state.
+// Recovery-order equivalence of AS OF mounts: a mount whose background
+// sweeper finished before any read (sweeper order) and a mount read at
+// once, racing its sweeper (query order), must hold byte-identical page
+// images under a quiesced primary -- with and without losers
+// straddling the SplitLSN, across several trees, and after a fault
+// injected at each page-recovery boundary was cleared. Each case runs
+// without periodic page images (no page log index: every page is
+// rewound from its current image) and with them (the swept mount
+// enters indexed pages at their nearest post-split image). SQL AS OF
+// results match the live results recorded at the target instant
+// across every executor plan shape. A failed recovery surfaces a
+// Status without poisoning other pages or leaking partial side-file
+// state.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,9 +22,12 @@
 #include <vector>
 
 #include "api/connection.h"
+#include "api/read_view.h"
 #include "engine/database.h"
 #include "engine/table.h"
+#include "exec/planner.h"
 #include "snapshot/asof_snapshot.h"
+#include "sql/parser.h"
 #include "sql/session.h"
 
 namespace rewinddb {
@@ -32,7 +40,31 @@ Schema KvSchema() {
                 1);
 }
 
-class LazyMountTest : public ::testing::Test {
+/// Every primary page id, fetched through BOTH snapshots' pools,
+/// compared byte for byte. Call once both sweeps have finished: a bare
+/// page fetch does not wait for its tree's loser undo.
+void ExpectByteIdenticalPages(Database* db, AsOfSnapshot* x,
+                              AsOfSnapshot* y) {
+  // No mount checkpoints the primary: flush it so its file covers every
+  // allocated page.
+  ASSERT_TRUE(db->buffers()->FlushAll().ok());
+  const PageId n = db->data_file()->NumPages();
+  ASSERT_GT(n, 2u);
+  for (PageId id = 0; id < n; id++) {
+    auto px = x->buffers()->FetchPage(id, AccessMode::kRead);
+    ASSERT_TRUE(px.ok()) << x->name() << " page " << id << ": "
+                         << px.status().ToString();
+    auto py = y->buffers()->FetchPage(id, AccessMode::kRead);
+    ASSERT_TRUE(py.ok()) << y->name() << " page " << id << ": "
+                         << py.status().ToString();
+    EXPECT_EQ(0, memcmp(px->data(), py->data(), kPageSize))
+        << "page " << id << " differs between " << x->name() << " and "
+        << y->name();
+  }
+}
+
+/// Parameter: DatabaseOptions::fpi_period (0 = no page log index).
+class LazyMountTest : public ::testing::TestWithParam<uint32_t> {
  protected:
   void SetUp() override {
     dir_ = (std::filesystem::temp_directory_path() / "rewinddb_lazy" /
@@ -42,13 +74,11 @@ class LazyMountTest : public ::testing::Test {
     clock_ = std::make_unique<SimClock>(10 * kSecond);
     DatabaseOptions opts;
     opts.clock = clock_.get();
-    // Byte-identity preconditions: serial undo (the parallel eager
-    // undo's loser order is nondeterministic) and no shared version
-    // store (one mount must not serve the other mount's rewound
-    // images -- each must do its own work for the comparison to mean
-    // anything).
-    opts.replay_threads = 1;
+    // Byte-identity precondition: no shared version store (one mount
+    // must not serve the other mount's rewound images -- each must do
+    // its own work for the comparison to mean anything).
     opts.version_store_bytes = 0;
+    opts.fpi_period = GetParam();
     Recreate(opts);
   }
   void TearDown() override {
@@ -93,37 +123,19 @@ class LazyMountTest : public ::testing::Test {
                        [](const Row&) { return true; });
   }
 
-  /// Mount both modes at `t` (eager FIRST: its creation checkpoint
-  /// quiesces file image == buffer image, so both mounts rewind from
-  /// the same start bytes).
-  void MountBoth(WallClock t, std::unique_ptr<AsOfSnapshot>* eager,
-                 std::unique_ptr<AsOfSnapshot>* lazy) {
-    auto e = AsOfSnapshot::Create(db_.get(), "eager", t, MountMode::kEager);
-    ASSERT_TRUE(e.ok()) << e.status().ToString();
-    *eager = std::move(*e);
-    auto l = AsOfSnapshot::Create(db_.get(), "lazy", t, MountMode::kLazy);
-    ASSERT_TRUE(l.ok()) << l.status().ToString();
-    *lazy = std::move(*l);
-    EXPECT_FALSE((*eager)->creation_stats().lazy);
-    EXPECT_TRUE((*lazy)->creation_stats().lazy);
-    EXPECT_EQ((*eager)->split_lsn(), (*lazy)->split_lsn());
-  }
-
-  /// Every primary page id, fetched through BOTH snapshots' pools,
-  /// compared byte for byte.
-  void ExpectByteIdenticalPages(AsOfSnapshot* eager, AsOfSnapshot* lazy) {
-    const PageId n = db_->data_file()->NumPages();
-    ASSERT_GT(n, 0u);
-    for (PageId id = 0; id < n; id++) {
-      auto pe = eager->buffers()->FetchPage(id, AccessMode::kRead);
-      ASSERT_TRUE(pe.ok()) << "eager page " << id << ": "
-                           << pe.status().ToString();
-      auto pl = lazy->buffers()->FetchPage(id, AccessMode::kRead);
-      ASSERT_TRUE(pl.ok()) << "lazy page " << id << ": "
-                           << pl.status().ToString();
-      EXPECT_EQ(0, memcmp(pe->data(), pl->data(), kPageSize))
-          << "page " << id << " differs between eager and lazy mount";
-    }
+  /// Mount twice at `t`: `sweep_first` has finished its background
+  /// sweep before this returns, `on_demand` is fresh (its sweeper may
+  /// still be running).
+  void MountPair(WallClock t, std::unique_ptr<AsOfSnapshot>* sweep_first,
+                 std::unique_ptr<AsOfSnapshot>* on_demand) {
+    auto a = AsOfSnapshot::Create(db_.get(), "sweep", t);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    *sweep_first = std::move(*a);
+    ASSERT_TRUE((*sweep_first)->WaitForUndo().ok());
+    auto b = AsOfSnapshot::Create(db_.get(), "demand", t);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    *on_demand = std::move(*b);
+    EXPECT_EQ((*sweep_first)->split_lsn(), (*on_demand)->split_lsn());
   }
 
   std::string dir_;
@@ -133,7 +145,7 @@ class LazyMountTest : public ::testing::Test {
 
 // --------------------- byte-identical page images ---------------------
 
-TEST_F(LazyMountTest, ByteIdenticalPagesQuiescedWithPostSplitChurn) {
+TEST_P(LazyMountTest, ByteIdenticalPagesQuiescedWithPostSplitChurn) {
   MakeKvTable();
   auto table = db_->OpenTable("t");
   clock_->Advance(10 * kSecond);
@@ -153,34 +165,35 @@ TEST_F(LazyMountTest, ByteIdenticalPagesQuiescedWithPostSplitChurn) {
   }
   ASSERT_TRUE(db_->Commit(churn).ok());
 
-  std::unique_ptr<AsOfSnapshot> eager, lazy;
-  MountBoth(t, &eager, &lazy);
-  ASSERT_TRUE(eager->WaitForUndo().ok());
-  ASSERT_TRUE(lazy->WaitForUndo().ok());
+  std::unique_ptr<AsOfSnapshot> swept, demand;
+  MountPair(t, &swept, &demand);
+  auto sd = demand->OpenTable("t");
+  ASSERT_TRUE(sd.ok());
+  auto cd = Contents(&*sd);
+  ASSERT_TRUE(demand->WaitForUndo().ok());
 
-  ExpectByteIdenticalPages(eager.get(), lazy.get());
+  ExpectByteIdenticalPages(db_.get(), swept.get(), demand.get());
+  // With periodic page images the comparison covers index-seeded pages.
+  if (GetParam() > 0) {
+    EXPECT_GT(swept->page_log_index()->stats().fpi_entries, 0u);
+    EXPECT_GT(db_->lazy_mount_counters().fpi_index_hits, 0u);
+  }
 
-  auto se = eager->OpenTable("t");
-  auto sl = lazy->OpenTable("t");
-  ASSERT_TRUE(se.ok() && sl.ok());
-  auto ce = Contents(&*se);
-  EXPECT_EQ(ce, Contents(&*sl));
-  EXPECT_EQ(ce.size(), 300u);
-  for (const auto& [k, v] : ce) EXPECT_EQ(v, "v1") << k;
+  auto ss = swept->OpenTable("t");
+  ASSERT_TRUE(ss.ok());
+  EXPECT_EQ(Contents(&*ss), cd);
+  EXPECT_EQ(cd.size(), 300u);
+  for (const auto& [k, v] : cd) EXPECT_EQ(v, "v1") << k;
 }
 
-TEST_F(LazyMountTest, ByteIdenticalPagesWithLoserStraddlingSplit) {
+TEST_P(LazyMountTest, ByteIdenticalPagesWithLoserStraddlingSplit) {
   MakeKvTable();
   auto table = db_->OpenTable("t");
   clock_->Advance(10 * kSecond);
   PutRows(&*table, 0, 200, "committed");
   clock_->Advance(kSecond);
 
-  // Loser: in flight at the split. Inserts and shrinking updates only,
-  // so its undo never needs an unlogged leaf split (whose
-  // snapshot-private page ids would be allocation-order-dependent and
-  // break the byte comparison; scan-level equality under delete-heavy
-  // losers is covered by LoserDeletesInvisibleInBothModes).
+  // Loser: in flight at the split, inserting and updating rows.
   Transaction* loser = db_->Begin();
   for (int i = 0; i < 40; i++) {
     ASSERT_TRUE(table->Update(loser, {i, std::string("LOSER-VALUE")}).ok());
@@ -194,18 +207,17 @@ TEST_F(LazyMountTest, ByteIdenticalPagesWithLoserStraddlingSplit) {
   WallClock t = clock_->NowMicros();
   clock_->Advance(kSecond);
 
-  std::unique_ptr<AsOfSnapshot> eager, lazy;
-  MountBoth(t, &eager, &lazy);
-  EXPECT_GE(eager->creation_stats().loser_transactions, 1u);
-  ASSERT_TRUE(eager->WaitForUndo().ok());
-  ASSERT_TRUE(lazy->WaitForUndo().ok());
-  EXPECT_GE(lazy->creation_stats().loser_transactions, 1u);
+  std::unique_ptr<AsOfSnapshot> swept, demand;
+  MountPair(t, &swept, &demand);
+  EXPECT_GE(swept->creation_stats().loser_transactions, 1u);
+  auto sd = demand->OpenTable("t");
+  ASSERT_TRUE(sd.ok());
+  auto contents = Contents(&*sd);
+  ASSERT_TRUE(demand->WaitForUndo().ok());
+  EXPECT_GE(demand->creation_stats().loser_transactions, 1u);
 
-  ExpectByteIdenticalPages(eager.get(), lazy.get());
+  ExpectByteIdenticalPages(db_.get(), swept.get(), demand.get());
 
-  auto sl = lazy->OpenTable("t");
-  ASSERT_TRUE(sl.ok());
-  auto contents = Contents(&*sl);
   EXPECT_EQ(contents.size(), 201u);  // 200 + bump row, no phantoms
   EXPECT_EQ(contents.count(5010), 0u);
   EXPECT_EQ(contents[10], "committed");
@@ -213,17 +225,16 @@ TEST_F(LazyMountTest, ByteIdenticalPagesWithLoserStraddlingSplit) {
   ASSERT_TRUE(db_->Abort(loser).ok());
 }
 
-// --------------------- loser undo, scan equivalence -------------------
-
-TEST_F(LazyMountTest, LoserDeletesInvisibleInBothModes) {
+TEST_P(LazyMountTest, ByteIdenticalPagesWithDeleteHeavyLoser) {
   MakeKvTable();
   auto table = db_->OpenTable("t");
   clock_->Advance(10 * kSecond);
   PutRows(&*table, 0, 150, "keep");
   clock_->Advance(kSecond);
 
-  // Delete-heavy loser: its undo re-inserts rows (may split snapshot
-  // leaves into private virtual pages), so assert scan-level equality.
+  // Delete-heavy loser: its undo re-inserts rows and may split snapshot
+  // leaves into snapshot-private virtual pages. One tree's undo runs in
+  // one fixed order on one thread, so the virtual page ids match too.
   Transaction* loser = db_->Begin();
   for (int i = 0; i < 150; i += 2) {
     ASSERT_TRUE(table->Delete(loser, Row{i}).ok());
@@ -233,25 +244,27 @@ TEST_F(LazyMountTest, LoserDeletesInvisibleInBothModes) {
   WallClock t = clock_->NowMicros();
   clock_->Advance(kSecond);
 
-  std::unique_ptr<AsOfSnapshot> eager, lazy;
-  MountBoth(t, &eager, &lazy);
-  ASSERT_TRUE(eager->WaitForUndo().ok());
-  ASSERT_TRUE(lazy->WaitForUndo().ok());
+  std::unique_ptr<AsOfSnapshot> swept, demand;
+  MountPair(t, &swept, &demand);
+  auto sd = demand->OpenTable("t");
+  ASSERT_TRUE(sd.ok());
+  auto cd = Contents(&*sd);
+  ASSERT_TRUE(demand->WaitForUndo().ok());
 
-  auto se = eager->OpenTable("t");
-  auto sl = lazy->OpenTable("t");
-  ASSERT_TRUE(se.ok() && sl.ok());
-  auto ce = Contents(&*se);
-  EXPECT_EQ(ce, Contents(&*sl));
-  EXPECT_EQ(ce.size(), 151u);
-  EXPECT_EQ(ce[0], "keep");  // the loser's delete was undone
+  ExpectByteIdenticalPages(db_.get(), swept.get(), demand.get());
+
+  auto ss = swept->OpenTable("t");
+  ASSERT_TRUE(ss.ok());
+  EXPECT_EQ(Contents(&*ss), cd);
+  EXPECT_EQ(cd.size(), 151u);
+  EXPECT_EQ(cd[0], "keep");  // the loser's delete was undone
 
   ASSERT_TRUE(db_->Abort(loser).ok());
 }
 
 // ------------------- first-touch and sweeper races --------------------
 
-TEST_F(LazyMountTest, ConcurrentFirstTouchOfOneTree) {
+TEST_P(LazyMountTest, ConcurrentFirstTouchOfOneTree) {
   MakeKvTable();
   auto table = db_->OpenTable("t");
   clock_->Advance(10 * kSecond);
@@ -267,7 +280,7 @@ TEST_F(LazyMountTest, ConcurrentFirstTouchOfOneTree) {
   WallClock t = clock_->NowMicros();
   clock_->Advance(kSecond);
 
-  auto snap = AsOfSnapshot::Create(db_.get(), "race", t, MountMode::kLazy);
+  auto snap = AsOfSnapshot::Create(db_.get(), "race", t);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
 
   // Two threads race the FIRST touch of the same tree (and the same
@@ -301,7 +314,7 @@ TEST_F(LazyMountTest, ConcurrentFirstTouchOfOneTree) {
   ASSERT_TRUE(db_->Abort(loser).ok());
 }
 
-TEST_F(LazyMountTest, SweeperCompletesThenQueriesMatchEager) {
+TEST_P(LazyMountTest, SweeperAndQueryOrderAgreeAcrossTrees) {
   MakeKvTable("a");
   MakeKvTable("b");
   auto ta = db_->OpenTable("a");
@@ -319,23 +332,28 @@ TEST_F(LazyMountTest, SweeperCompletesThenQueriesMatchEager) {
   WallClock t = clock_->NowMicros();
   clock_->Advance(kSecond);
 
-  std::unique_ptr<AsOfSnapshot> eager, lazy;
-  MountBoth(t, &eager, &lazy);
-  ASSERT_TRUE(eager->WaitForUndo().ok());
-  // Let the sweeper finish BEFORE the first query: long-lived mounts
-  // must converge without any query traffic, and queries afterwards
-  // (trees already kDone) still match eager.
-  ASSERT_TRUE(lazy->WaitForUndo().ok());
-  EXPECT_TRUE(lazy->undo_complete());
+  // The sweep-first mount converged without any query traffic; the
+  // on-demand mount reads tree b before tree a while its sweeper runs.
+  std::unique_ptr<AsOfSnapshot> swept, demand;
+  MountPair(t, &swept, &demand);
+  EXPECT_TRUE(swept->undo_complete());
   EXPECT_GE(db_->lazy_mount_counters().sweeps_completed, 1u);
+  std::map<std::string, std::map<int, std::string>> on_demand;
+  for (const char* name : {"b", "a"}) {
+    auto sd = demand->OpenTable(name);
+    ASSERT_TRUE(sd.ok());
+    on_demand[name] = Contents(&*sd);
+  }
+  ASSERT_TRUE(demand->WaitForUndo().ok());
 
   for (const char* name : {"a", "b"}) {
-    auto se = eager->OpenTable(name);
-    auto sl = lazy->OpenTable(name);
-    ASSERT_TRUE(se.ok() && sl.ok());
-    EXPECT_EQ(Contents(&*se), Contents(&*sl)) << name;
+    auto ss = swept->OpenTable(name);
+    ASSERT_TRUE(ss.ok());
+    EXPECT_EQ(Contents(&*ss), on_demand[name]) << name;
   }
-  ExpectByteIdenticalPages(eager.get(), lazy.get());
+  EXPECT_EQ(on_demand["a"][7], "alpha");
+  EXPECT_EQ(on_demand["b"].count(7777), 0u);
+  ExpectByteIdenticalPages(db_.get(), swept.get(), demand.get());
 
   ASSERT_TRUE(db_->Abort(loser).ok());
 }
@@ -368,11 +386,23 @@ class LazyFaultTest : public LazyMountTest {
     EXPECT_TRUE(db_->Commit(churn).ok());
     return t;
   }
+
+  /// Once `snap` recovered from its injected faults, its pages must
+  /// equal those of a fresh sweep-first mount at the same instant: a
+  /// failed step left nothing behind, and the resumed one did not
+  /// apply anything twice.
+  void ExpectMatchesSweptMount(AsOfSnapshot* snap, WallClock t) {
+    (void)snap->WaitForUndo();  // carries the fault if the sweeper hit it
+    auto ref = AsOfSnapshot::Create(db_.get(), "ref", t);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    ASSERT_TRUE((*ref)->WaitForUndo().ok());
+    ExpectByteIdenticalPages(db_.get(), ref->get(), snap);
+  }
 };
 
-TEST_F(LazyFaultTest, RewindReadFaultIsolatedAndRetryable) {
+TEST_P(LazyFaultTest, RewindReadFaultIsolatedAndRetryable) {
   WallClock t = BuildTwoTableHistory();
-  auto snap = AsOfSnapshot::Create(db_.get(), "fault", t, MountMode::kLazy);
+  auto snap = AsOfSnapshot::Create(db_.get(), "fault", t);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
 
   // Resolve roots first (recovers only catalog pages, hook not yet set).
@@ -407,11 +437,12 @@ TEST_F(LazyFaultTest, RewindReadFaultIsolatedAndRetryable) {
   auto contents = Contents(&*sa);
   EXPECT_EQ(contents.size(), 60u);
   for (const auto& [k, v] : contents) EXPECT_EQ(v, "a1") << k;
+  ExpectMatchesSweptMount(snap->get(), t);
 }
 
-TEST_F(LazyFaultTest, IndexLookupFaultIsolatedAndRetryable) {
+TEST_P(LazyFaultTest, IndexLookupFaultIsolatedAndRetryable) {
   WallClock t = BuildTwoTableHistory();
-  auto snap = AsOfSnapshot::Create(db_.get(), "fault", t, MountMode::kLazy);
+  auto snap = AsOfSnapshot::Create(db_.get(), "fault", t);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   auto sa = (*snap)->OpenTable("a");
   auto sb = (*snap)->OpenTable("b");
@@ -431,9 +462,10 @@ TEST_F(LazyFaultTest, IndexLookupFaultIsolatedAndRetryable) {
 
   (*snap)->SetRecoveryFaultHook(nullptr);
   EXPECT_EQ(Contents(&*sa).size(), 60u);
+  ExpectMatchesSweptMount(snap->get(), t);
 }
 
-TEST_F(LazyFaultTest, UndoApplyFaultLeavesTreeResumable) {
+TEST_P(LazyFaultTest, UndoApplyFaultLeavesTreeResumable) {
   MakeKvTable();
   auto table = db_->OpenTable("t");
   clock_->Advance(10 * kSecond);
@@ -448,7 +480,7 @@ TEST_F(LazyFaultTest, UndoApplyFaultLeavesTreeResumable) {
   WallClock t = clock_->NowMicros();
   clock_->Advance(kSecond);
 
-  auto snap = AsOfSnapshot::Create(db_.get(), "fault", t, MountMode::kLazy);
+  auto snap = AsOfSnapshot::Create(db_.get(), "fault", t);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   // Installed immediately after create; the sweeper must first finish
   // its analysis scan, so the hook is in place before any undo applies.
@@ -477,6 +509,7 @@ TEST_F(LazyFaultTest, UndoApplyFaultLeavesTreeResumable) {
   auto contents = Contents(&*st);
   EXPECT_EQ(contents.size(), 201u);
   for (int i = 0; i < 30; i++) EXPECT_EQ(contents[i], "good") << i;
+  ExpectMatchesSweptMount(snap->get(), t);
 
   ASSERT_TRUE(db_->Abort(loser).ok());
 }
@@ -484,9 +517,9 @@ TEST_F(LazyFaultTest, UndoApplyFaultLeavesTreeResumable) {
 // ------------------- SQL parity across plan shapes --------------------
 
 /// Render a rowset as comparable strings, one per row.
-std::vector<std::string> Rendered(const SqlResult& r) {
+std::vector<std::string> Rendered(const std::vector<Row>& rows) {
   std::vector<std::string> out;
-  for (const Row& row : r.rows) {
+  for (const Row& row : rows) {
     std::string line;
     for (const Value& v : row) {
       line += v.ToString();
@@ -497,9 +530,8 @@ std::vector<std::string> Rendered(const SqlResult& r) {
   return out;
 }
 
-/// The executor plan shapes of tests/exec_test.cc, run AS OF through an
-/// eagerly and a lazily mounted view: every shape must return identical
-/// rows.
+/// The executor plan shapes of tests/exec_test.cc: run AS OF, every
+/// shape must return the rows it returned live at that instant.
 const char* kParityShapes[] = {
     "SELECT id, dept, score FROM emp WHERE id >= 10 AND id < 40 AND "
     "score > 5",
@@ -523,6 +555,11 @@ const char* kParityShapes[] = {
     "ON e.dept = d.dept WHERE e.dept = 'd2' GROUP BY d.city",
 };
 
+INSTANTIATE_TEST_SUITE_P(FpiPeriods, LazyMountTest,
+                         ::testing::Values(0u, 8u));
+INSTANTIATE_TEST_SUITE_P(FpiPeriods, LazyFaultTest,
+                         ::testing::Values(0u, 8u));
+
 class LazySqlTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -533,6 +570,7 @@ class LazySqlTest : public ::testing::Test {
     clock_ = std::make_unique<SimClock>(10 * kSecond);
     DatabaseOptions opts;
     opts.clock = clock_.get();
+    opts.version_store_bytes = 0;  // see LazyMountTest
     auto conn = Connection::Create(dir_, opts);
     ASSERT_TRUE(conn.ok()) << conn.status().ToString();
     conn_ = std::move(*conn);
@@ -605,39 +643,72 @@ class LazySqlTest : public ::testing::Test {
   std::unique_ptr<SqlSession> session_;
 };
 
-TEST_F(LazySqlTest, EagerAndLazyAsOfAgreeAcrossPlanShapes) {
+TEST_F(LazySqlTest, AsOfMatchesLiveAcrossPlanShapesAndRecoveryOrders) {
   LoadDataset();
+  std::vector<std::vector<std::string>> live_rows;
+  for (const char* shape : kParityShapes) {
+    live_rows.push_back(Rendered(MustExecute(shape).rows));
+  }
+
+  // A loser in flight at the target, on rows the churn below leaves
+  // alone: its insert and its update (which moves an index entry) must
+  // be undone in the base tree and in emp_by_dept.
+  Txn loser = conn_->Begin();
+  for (int64_t i = 100; i < 105; i++) {
+    ASSERT_TRUE(conn_->Insert(loser, "emp",
+                              {i, std::string("d1"), int64_t{1},
+                               int32_t{1}})
+                    .ok());
+  }
+  ASSERT_TRUE(conn_->Update(loser, "dept",
+                            {std::string("d1"), std::string("north"),
+                             int64_t{5}})
+                  .ok());
+  // A later commit on an unrelated table puts the split past the
+  // loser's records.
+  ASSERT_TRUE(conn_->CreateTable("bump",
+                                 Schema({{"k", ColumnType::kInt64}}, 1))
+                  .ok());
   clock_->Advance(kSecond);
   WallClock t = clock_->NowMicros();
   clock_->Advance(kSecond);
   Churn();
   clock_->Advance(kSecond);
 
-  auto r = MustExecute("SET MOUNT_MODE = EAGER");
-  EXPECT_NE(r.message.find("EAGER"), std::string::npos);
-  EXPECT_FALSE(conn_->lazy_mounts());
-  std::vector<std::vector<std::string>> eager_rows;
-  for (const char* shape : kParityShapes) {
-    eager_rows.push_back(
-        Rendered(MustExecute(std::string(shape) + " AS OF " +
-                             std::to_string(t))));
-  }
-
-  r = MustExecute("SET MOUNT_MODE = LAZY");
-  EXPECT_NE(r.message.find("LAZY"), std::string::npos);
-  EXPECT_TRUE(conn_->lazy_mounts());
+  // SQL: each statement mounts its own snapshot and reads it at once.
+  const std::string as_of = " AS OF " + std::to_string(t);
   for (size_t i = 0; i < std::size(kParityShapes); i++) {
-    auto lazy_rows = Rendered(
-        MustExecute(std::string(kParityShapes[i]) + " AS OF " +
-                    std::to_string(t)));
-    EXPECT_EQ(eager_rows[i], lazy_rows) << kParityShapes[i];
+    EXPECT_EQ(live_rows[i],
+              Rendered(MustExecute(kParityShapes[i] + as_of).rows))
+        << kParityShapes[i];
   }
-
-  // The session really mounted lazily: counters moved.
   LazyMountCounters lm = conn_->LazyMountStats();
   EXPECT_GE(lm.lazy_mounts, std::size(kParityShapes));
-  EXPECT_GE(lm.eager_mounts, std::size(kParityShapes));
   EXPECT_GT(lm.pages_recovered_on_demand, 0u);
+
+  // Pages: one mount swept before any read, one read by every shape at
+  // once while its sweeper runs.
+  Database* db = conn_->engine();
+  auto swept = AsOfSnapshot::Create(db, "sweep", t);
+  ASSERT_TRUE(swept.ok()) << swept.status().ToString();
+  ASSERT_TRUE((*swept)->WaitForUndo().ok());
+  EXPECT_GE((*swept)->creation_stats().loser_transactions, 1u);
+  auto demand = AsOfSnapshot::Create(db, "demand", t);
+  ASSERT_TRUE(demand.ok()) << demand.status().ToString();
+  std::unique_ptr<ReadView> view = WrapSnapshot(demand->get());
+  for (size_t i = 0; i < std::size(kParityShapes); i++) {
+    auto cmd = ParseSql(kParityShapes[i]);
+    ASSERT_TRUE(cmd.ok()) << cmd.status().ToString();
+    auto out = exec::RunSelect(view.get(), *cmd->select);
+    ASSERT_TRUE(out.ok()) << kParityShapes[i] << ": "
+                          << out.status().ToString();
+    EXPECT_EQ(live_rows[i], Rendered(out->rows)) << kParityShapes[i];
+  }
+  ASSERT_TRUE((*demand)->WaitForUndo().ok());
+  ExpectByteIdenticalPages(db, swept->get(), demand->get());
+
+  view.reset();
+  ASSERT_TRUE(loser.Abort().ok());
 }
 
 TEST_F(LazySqlTest, ShowStatsExposesLazyCounters) {
@@ -647,7 +718,6 @@ TEST_F(LazySqlTest, ShowStatsExposesLazyCounters) {
   clock_->Advance(kSecond);
   Churn();
 
-  MustExecute("SET MOUNT_MODE = LAZY");
   MustExecute("SELECT COUNT(*) FROM emp AS OF " + std::to_string(t));
 
   SqlResult stats = MustExecute("SHOW STATS");
@@ -655,15 +725,21 @@ TEST_F(LazySqlTest, ShowStatsExposesLazyCounters) {
   for (const Row& row : stats.rows) {
     metrics[row[0].AsString()] = row[1].AsInt64();
   }
-  ASSERT_TRUE(metrics.count("lazy_mount.lazy_mounts"));
-  ASSERT_TRUE(metrics.count("lazy_mount.pages_recovered_on_demand"));
-  ASSERT_TRUE(metrics.count("lazy_mount.trees_recovered_on_demand"));
-  ASSERT_TRUE(metrics.count("lazy_mount.fpi_index_hits"));
-  ASSERT_TRUE(metrics.count("lazy_mount.sweeps_completed"));
+  // Exactly the five mount counters, under their established names.
+  std::vector<std::string> mount_rows;
+  for (const auto& [name, value] : metrics) {
+    if (name.rfind("lazy_mount.", 0) == 0) mount_rows.push_back(name);
+  }
+  EXPECT_EQ(mount_rows, (std::vector<std::string>{
+                            "lazy_mount.fpi_index_hits",
+                            "lazy_mount.lazy_mounts",
+                            "lazy_mount.pages_recovered_on_demand",
+                            "lazy_mount.sweeps_completed",
+                            "lazy_mount.trees_recovered_on_demand"}));
   EXPECT_GE(metrics["lazy_mount.lazy_mounts"], 1);
   EXPECT_GT(metrics["lazy_mount.pages_recovered_on_demand"], 0);
 
-  // Named snapshots honour the session mode too.
+  // Named snapshots count as mounts too.
   MustExecute("CREATE DATABASE past AS SNAPSHOT OF db AS OF " +
               std::to_string(t));
   SqlResult again = MustExecute("SHOW STATS");
@@ -676,7 +752,16 @@ TEST_F(LazySqlTest, ShowStatsExposesLazyCounters) {
   ASSERT_EQ(sel.rows.size(), 1u);
   EXPECT_EQ(sel.rows[0][0].AsInt64(), 60);
 
-  MustExecute("SET MOUNT_MODE = EAGER");  // and back without error
+  // No statement picks a mount mode: SET MOUNT_MODE is a clean parse
+  // error and the session carries on.
+  auto mode = session_->ExecuteStatement("SET MOUNT_MODE = LAZY");
+  ASSERT_FALSE(mode.ok());
+  EXPECT_TRUE(mode.status().IsInvalidArgument()) << mode.status().ToString();
+  EXPECT_NE(mode.status().message().find("[statement:"), std::string::npos)
+      << mode.status().ToString();
+  SqlResult after = MustExecute("SELECT COUNT(*) FROM emp");
+  ASSERT_EQ(after.rows.size(), 1u);
+  EXPECT_EQ(after.rows[0][0].AsInt64(), 40);
 }
 
 }  // namespace

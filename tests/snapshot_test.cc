@@ -316,8 +316,8 @@ TEST_F(SnapshotTest, InFlightTransactionInvisibleAfterUndo) {
   EXPECT_EQ((*r5)[1].AsString(), "committed");
   EXPECT_TRUE(st->Get({999}).status().IsNotFound());
   ASSERT_TRUE((*snap)->WaitForUndo().ok());
-  // Stable only now: under a lazy mount the analysis that counts the
-  // losers runs in the background sweeper.
+  // Stable only now: the analysis that counts the losers runs in the
+  // background sweeper.
   EXPECT_GE((*snap)->creation_stats().loser_transactions, 1u);
 
   // Clean up the primary transaction.
@@ -409,10 +409,10 @@ TEST_F(SnapshotTest, FpiPeriodSkipsLogRegions) {
       ASSERT_EQ(contents.size(), 20u);
       for (const auto& [k, v] : contents) EXPECT_EQ(v, "v0");
       undone[variant] = (*snap)->rewinder()->records_undone();
-      // Eager mounts take FPI shortcuts inside the chain walk
-      // (fpi_jumps); lazy mounts may instead enter the chain directly
-      // at an indexed post-split FPI (fpi_index_hits) and never walk
-      // the region at all. Either way the image log must have paid off.
+      // A mount takes FPI shortcuts inside the chain walk (fpi_jumps)
+      // or enters the chain directly at an indexed post-split FPI
+      // (fpi_index_hits) and never walks the region at all. Either way
+      // the image log must have paid off.
       if (variant == 1) {
         EXPECT_GT((*snap)->rewinder()->fpi_jumps() +
                       db_->lazy_mount_counters().fpi_index_hits,

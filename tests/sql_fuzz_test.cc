@@ -163,14 +163,13 @@ TEST(SqlFuzzTest, ExecutorNeverCrashesAndErrorsKeepContract) {
   std::filesystem::remove_all(dir);
 }
 
-// Time-travel fuzz against LAZILY mounted views: random AS OF /
+// Time-travel fuzz against on-demand mounted views: random AS OF /
 // SNAPSHOT OF statements (valid times, out-of-range times, missing
-// snapshot names, create/drop races of named snapshots) interleaved
-// with SET MOUNT_MODE flips, across two sessions sharing one
-// connection. Must never crash, every error must keep the
-// [statement: ...] contract, and the two sessions must never confuse
-// each other's view handles -- a named snapshot reads identically from
-// both regardless of which session (and which mount mode) created it.
+// snapshot names, create/drop races of named snapshots) across two
+// sessions sharing one connection. Must never crash, every error must
+// keep the [statement: ...] contract, and the two sessions must never
+// confuse each other's view handles -- a named snapshot reads
+// identically from both regardless of which session created it.
 TEST(SqlFuzzTest, LazyTimeTravelFuzz) {
   std::string dir =
       (std::filesystem::temp_directory_path() / "rewinddb_sql_fuzz_lazy")
@@ -205,7 +204,6 @@ TEST(SqlFuzzTest, LazyTimeTravelFuzz) {
 
   SqlSession a(conn.get());
   SqlSession b(conn.get());
-  ASSERT_TRUE(a.Execute("SET MOUNT_MODE = LAZY").ok());
 
   const char* kSnapNames[] = {"s0", "s1", "nosuch"};
   Lcg rng(0xabad1dea);
@@ -213,7 +211,7 @@ TEST(SqlFuzzTest, LazyTimeTravelFuzz) {
   for (int i = 0; i < 1500; i++) {
     SqlSession& sess = rng.Below(2) ? a : b;
     std::string stmt;
-    switch (rng.Below(8)) {
+    switch (rng.Below(7)) {
       case 0: {  // AS OF a valid epoch
         stmt = "SELECT COUNT(*) FROM items AS OF " +
                std::to_string(epochs[rng.Below(epochs.size())]);
@@ -236,11 +234,7 @@ TEST(SqlFuzzTest, LazyTimeTravelFuzz) {
         stmt = std::string("DROP DATABASE ") +
                kSnapNames[rng.Below(std::size(kSnapNames))];
         break;
-      case 5:
-        stmt = rng.Below(2) ? "SET MOUNT_MODE = LAZY"
-                            : "SET MOUNT_MODE = EAGER";
-        break;
-      case 6:  // malformed time-travel tails
+      case 5:  // malformed time-travel tails
         stmt = std::string("SELECT id FROM items ") +
                (rng.Below(2) ? "AS OF" : "SNAPSHOT OF 123 45");
         break;
@@ -261,10 +255,9 @@ TEST(SqlFuzzTest, LazyTimeTravelFuzz) {
   EXPECT_GT(failures, 50);    // out-of-range + garbage really failed
   EXPECT_LT(failures, 1500);  // and plenty succeeded
 
-  // No cross-session handle confusion: a lazily created named snapshot
-  // serves the same rows to both sessions.
+  // No cross-session handle confusion: a named snapshot created by one
+  // session serves the same rows to both.
   (void)a.Execute("DROP DATABASE probe");
-  ASSERT_TRUE(a.Execute("SET MOUNT_MODE = LAZY").ok());
   auto created = a.Execute("CREATE DATABASE probe AS SNAPSHOT OF db AS OF " +
                            std::to_string(epochs[2]));
   ASSERT_TRUE(created.ok()) << created.status().ToString();
@@ -284,8 +277,9 @@ TEST(SqlFuzzTest, LazyTimeTravelFuzz) {
 // COMMIT_MODE levels with BOTH diet halves on -- flush-batch
 // compression and delta FPIs -- mirrored into a plain C++ model per
 // committed epoch. Then AS OF queries at random past epochs must match
-// the model exactly, and must read identically through lazy and eager
-// mounts: the diet changes how history is stored, never what any
+// the model exactly, from two sessions (the second mount of an epoch
+// reads through pages the first published to the shared version
+// store): the diet changes how history is stored, never what any
 // reader sees.
 TEST(SqlFuzzTest, WalDietFuzz) {
   std::string dir =
@@ -299,7 +293,6 @@ TEST(SqlFuzzTest, WalDietFuzz) {
   opts.fpi_delta_window_bytes = 1 << 20;
   opts.fpi_period = 4;  // frequent FPIs so delta chains really form
   opts.archive_dir = "";
-  opts.lazy_mount = false;
   auto conn_r = Connection::Create(dir, opts);
   ASSERT_TRUE(conn_r.ok()) << conn_r.status().ToString();
   std::unique_ptr<Connection> conn = std::move(*conn_r);
@@ -381,20 +374,15 @@ TEST(SqlFuzzTest, WalDietFuzz) {
     return rows;
   };
 
-  SqlSession lazy(conn.get());
-  SqlSession eager(conn.get());
-  ASSERT_TRUE(lazy.Execute("SET MOUNT_MODE = LAZY").ok());
-  ASSERT_TRUE(eager.Execute("SET MOUNT_MODE = EAGER").ok());
+  SqlSession first(conn.get());
+  SqlSession second(conn.get());
   for (int i = 0; i < 10; i++) {
     const size_t e = rng.Below(epochs.size());
     SCOPED_TRACE("epoch " + std::to_string(e));
-    std::map<int64_t, std::string> via_lazy =
-        read_as_of(lazy, epochs[e].first);
-    std::map<int64_t, std::string> via_eager =
-        read_as_of(eager, epochs[e].first);
-    EXPECT_EQ(via_lazy, epochs[e].second) << "lazy AS OF diverged";
-    EXPECT_EQ(via_eager, epochs[e].second) << "eager AS OF diverged";
-    EXPECT_EQ(via_lazy, via_eager);
+    EXPECT_EQ(read_as_of(first, epochs[e].first), epochs[e].second)
+        << "first AS OF diverged";
+    EXPECT_EQ(read_as_of(second, epochs[e].first), epochs[e].second)
+        << "second AS OF diverged";
   }
 
   conn.reset();

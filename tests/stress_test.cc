@@ -1,5 +1,5 @@
 // Stress and failure-injection scenarios: concurrent snapshot queries
-// racing the background undo, snapshots with disabled log cache,
+// racing the background sweeper, snapshots with disabled log cache,
 // rewinding through recovery CLRs, snapshots under tiny buffer pools,
 // and repeated drop/recreate cycles over the same pages.
 #include <gtest/gtest.h>
@@ -49,9 +49,9 @@ class StressTest : public ::testing::Test {
   std::unique_ptr<Database> db_;
 };
 
-TEST_F(StressTest, QueriesRaceBackgroundUndo) {
+TEST_F(StressTest, QueriesRaceBackgroundSweep) {
   // Many uncommitted rows at the split point; several reader threads
-  // immediately hammer the snapshot while the undo thread erases the
+  // immediately hammer the snapshot while the sweeper erases the
   // losers. Readers must only ever see committed pre-split state.
   SimClock clock(10 * kSecond);
   DatabaseOptions opts;
@@ -115,8 +115,8 @@ TEST_F(StressTest, QueriesRaceBackgroundUndo) {
   for (auto& th : readers) th.join();
   EXPECT_EQ(violations.load(), 0);
   ASSERT_TRUE((*snap)->WaitForUndo().ok());
-  // Stable only now: under a lazy mount the analysis that counts the
-  // losers runs in the background sweeper.
+  // Stable only now: the analysis that counts the losers runs in the
+  // background sweeper.
   EXPECT_GE((*snap)->creation_stats().loser_transactions, 1u);
   ASSERT_TRUE(db_->Commit(loser).ok());
   // The SimClock above dies with this scope; release the snapshot (it
